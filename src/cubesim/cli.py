@@ -29,24 +29,19 @@ from . import experiments, multiport
 from .cubes import basis_cube, dephase, luders_update_cube, quantum_to_cube
 from .quantum import DensityMatrix, random_density_matrix
 from .results import results_to_csv
-from .tensor import DEFAULT_TOL, Tolerance, cube_inner
+from .tensor import DEFAULT_TOL, cube_inner
 
 _N_RANGE = (2, 32)
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated per-invocation settings shared by all subcommands."""
+    """Per-invocation settings shared by all subcommands, checked on parsing."""
 
     tolerance: float = DEFAULT_TOL
     output_format: str = "json"
     out: str | None = None
     seed: int | None = None
-
-    def __post_init__(self) -> None:
-        Tolerance(self.tolerance)
-        if self.output_format not in ("json", "csv", "pretty"):
-            raise ValueError(f"unknown output format {self.output_format!r}")
 
 
 def _parse_n_values(text: str) -> list[int]:
@@ -81,6 +76,19 @@ def _parse_single_n(text: str) -> int:
             f"expected a single path count, got {len(values)}"
         )
     return values[0]
+
+
+def _above(convert, bound):
+    """Argument type: ``convert(text)``, which must exceed ``bound``."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not value > bound:
+            raise argparse.ArgumentTypeError(f"must exceed {bound}, got {text}")
+        return value
+
+    parse.__name__ = convert.__name__  # names the type in parse errors
+    return parse
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -401,7 +409,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser, default_format: str) -> None:
-        p.add_argument("--tol", type=float, default=None, help="entrywise tolerance")
+        p.add_argument("--tol", type=_above(float, 0), default=None, help="entrywise tolerance")
         p.add_argument(
             "--format",
             choices=("json", "csv", "pretty"),
@@ -424,20 +432,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", choices=("quantum", "cube"), required=True)
     p.add_argument("--n", type=_parse_single_n, required=True, help="number of paths")
     p.add_argument("--seed", type=int, default=None, help="sample detector clicks")
-    p.add_argument("--shots", type=int, default=10_000)
+    p.add_argument("--shots", type=_above(int, 0), default=10_000)
     p.set_defaults(handler=_cmd_ifm)
 
     p = sub.add_parser("scan", help="trade-off region boundaries on a grid")
     common(p, "csv")
     p.add_argument("--n", type=_parse_n_values, required=True,
                    help="path counts, e.g. 2,3,4 or 3..8")
-    p.add_argument("--grid", type=int, default=101, help="grid points on [0, 1]")
+    p.add_argument("--grid", type=_above(int, 1), default=101, help="grid points on [0, 1]")
     p.set_defaults(handler=_cmd_scan)
 
     p = sub.add_parser("sorkin", help="third-order interference term (N=3)")
     common(p, "json")
     p.add_argument("--n", type=_parse_single_n, default=3)
-    p.add_argument("--port", type=int, default=1)
+    p.add_argument("--port", type=int, choices=(1, 2, 3), default=1)
     p.set_defaults(handler=_cmd_sorkin)
 
     p = sub.add_parser("verify", help="multiport residual report")
@@ -445,7 +453,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_parse_n_values, required=True, help="path counts, e.g. 3..8")
     p.add_argument(
         "--matrix-tol",
-        type=float,
+        type=_above(float, 0),
         default=multiport.MATRIX_TOL,
         help="Frobenius-norm tolerance for the matrix identities",
     )
@@ -473,6 +481,9 @@ def main(argv: list[str] | None = None) -> int:
             return 2
     if getattr(args, "tol", None) is not None:
         tolerance = args.tol
+    elif not tolerance > 0:
+        print(f"error: CUBESIM_TOL={env_tol!r} must be positive", file=sys.stderr)
+        return 2
 
     try:
         config = RunConfig(
@@ -482,7 +493,7 @@ def main(argv: list[str] | None = None) -> int:
             seed=getattr(args, "seed", None),
         )
         return args.handler(args, config)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

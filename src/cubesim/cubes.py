@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .multiport import coherence_pairs, fourier_row_exponents
+from .multiport import cell_masks, coherence_pairs, fourier_row_exponents
 from .quantum import DensityMatrix
 from .tensor import DEFAULT_TOL, HermitianCube, cube_inner, hermitian_complete
 
@@ -170,8 +170,6 @@ def dephase(cube: HermitianCube, tol: float = DEFAULT_TOL) -> HermitianCube:
     """
     if not cube.is_state:
         raise ValueError("dephasing is defined for state cubes only")
-    n = cube.n_paths
-    j, k, l = np.meshgrid(*(np.arange(n),) * 3, indexing="ij")
-    two_equal = ((j == k).astype(int) + (k == l) + (j == l)) == 1
-    entries = np.where(two_equal, 0.0, cube.entries)
-    return HermitianCube(n, entries, is_state=True, tol=tol)
+    two_path, _ = cell_masks(cube.n_paths)
+    entries = np.where(two_path, 0.0, cube.entries)
+    return HermitianCube(cube.n_paths, entries, is_state=True, tol=tol)

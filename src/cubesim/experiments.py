@@ -144,23 +144,22 @@ def sorkin_term(
     the intensity I_S is read at ``port``.  Returns
     ``I_123 - I_12 - I_13 - I_23 + I_1 + I_2 + I_3``, which vanishes for
     every quantum cube and is nonzero in the presence of genuine
-    three-path coherence.
+    three-path coherence.  Truncating to S keeps the coordinates of the
+    basis cubes supported inside S.
     """
     if cube.n_paths != 3 or t2.n_paths != 3:
         raise ValueError("the third-order term is defined for 3-path setups only")
     if not 1 <= port <= 3:
         raise ValueError(f"port {port} out of range 1..3")
 
+    coords = to_coords(cube, t2.basis, tol=tol)
+    row = t2.matrix[port - 1]
+    # the (0-based) path indices touched by each basis cube
+    support = np.stack(np.unravel_index(t2.basis.cells[:, 0], (3, 3, 3)), axis=1)
+
     def intensity(subset: tuple[int, ...]) -> float:
-        entries = np.array(cube.entries)
-        drop = [p - 1 for p in (1, 2, 3) if p not in subset]
-        for axis in range(3):
-            index = [slice(None)] * 3
-            index[axis] = drop
-            entries[tuple(index)] = 0.0
-        truncated = HermitianCube(3, entries, tol=tol)
-        out = t2.matrix @ to_coords(truncated, t2.basis, tol=tol)
-        return float(out[port - 1].real)
+        inside = np.isin(support, [p - 1 for p in subset]).all(axis=1)
+        return float((row @ np.where(inside, coords, 0.0)).real)
 
     term = intensity((1, 2, 3))
     for pair in combinations((1, 2, 3), 2):

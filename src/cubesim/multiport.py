@@ -9,9 +9,11 @@ path cube onto a pure cube with *no* population in that path, the key
 ingredient of a perfect interaction-free measurement.
 
 The construction stacks phase rows taken from the discrete Fourier
-transform into a rectangular phase matrix, fixes the diagonal and
-coherence blocks from the required images of the path cubes, and closes
-the transformation with a principal Hermitian matrix square root.
+transform into a rectangular phase matrix and fixes the population block
+A and the coherence block B from the required images of the path cubes.
+The closing block is ``D = sqrt(1 - B B+)``; since ``B B+`` has the
+two-point spectrum {0, N(N-2)/(N-1)^2}, this root has the closed form
+``D = 1 - ((N-1)/N) B B+`` with spectrum {1, 1/(N-1)}.
 
 On root-of-unity conventions: :func:`build_phase_matrix` uses
 ``exp(+i 2 pi / N)`` while the optimal cubes (and hence the assembled
@@ -23,6 +25,7 @@ matches the tabulated four-path cube family entry for entry.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -30,8 +33,8 @@ import numpy as np
 from .tensor import DEFAULT_TOL, HermitianCube, hermitian_complete
 
 #: Frobenius-norm tolerance for assembled-matrix identities; looser than
-#: the entrywise default because eigendecomposition error accumulates with
-#: the subspace dimension (d is about 100 at N = 12).
+#: the entrywise default because rounding in the d x d matrix products
+#: accumulates with the subspace dimension (d is about 100 at N = 12).
 MATRIX_TOL = 1e-9
 
 _SQRT3 = np.sqrt(3.0)
@@ -112,6 +115,19 @@ def build_phase_matrix(n_paths: int) -> PhaseMatrix:
     return PhaseMatrix(n_paths, np.exp(1j * angles))
 
 
+@functools.cache
+def cell_masks(n_paths: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only masks of the N^3 cells outside the multiport domain: those
+    with exactly two equal indices (two-path coherence), and those with
+    three distinct indices none of which is path 1."""
+    j, k, l = np.indices((n_paths,) * 3)
+    equal_pairs = (j == k).astype(int) + (k == l) + (j == l)
+    masks = (equal_pairs == 1, (equal_pairs == 0) & (j != 0) & (k != 0) & (l != 0))
+    for mask in masks:
+        mask.setflags(write=False)
+    return masks
+
+
 @dataclass(frozen=True, eq=False)
 class SubBasis:
     """Ordered basis of the no-two-path-coherence subspace.
@@ -124,19 +140,32 @@ class SubBasis:
     argument); note the coherence tensors are not individually Hermitian,
     so a coordinate vector represents a Hermitian cube only when its
     diagonal part is real and conjugate-paired coordinates are conjugate.
+
+    Basis cube i holds ``1 / scale[i]`` (1 or 1/sqrt(3)) on the flat cells
+    ``cells[i]``, the cyclic images of one index triple, so coordinates are
+    an index gather and cubes a scatter; no dense tensors are stored.
     """
 
     n_paths: int
-    cubes: np.ndarray  # shape (d, N, N, N)
     labels: tuple[str, ...]
+    cells: np.ndarray  # shape (d, 3), flat positions in the N^3 tensor
+    scale: np.ndarray  # shape (d,)
 
     @property
     def dim(self) -> int:
-        return self.cubes.shape[0]
+        return len(self.labels)
 
     @property
     def n_pairs(self) -> int:
         return (self.n_paths - 1) * (self.n_paths - 2) // 2
+
+    @functools.cached_property
+    def cubes(self) -> np.ndarray:
+        """Dense (d, N, N, N) stack of the basis tensors, built on first
+        access; O(N^5) in memory and kept as a reference for cross-checks."""
+        stack = _scatter(np.eye(self.dim, dtype=complex), self)
+        stack.setflags(write=False)
+        return stack
 
     def conjugate_partner(self, index: int) -> int:
         """Involutive index map pairing each coherence cube with its conjugate."""
@@ -167,46 +196,30 @@ def sub_basis(n_paths: int) -> SubBasis:
     if n_paths < 3:
         raise ValueError(f"need at least 3 paths, got {n_paths}")
     n = n_paths
-    cubes: list[np.ndarray] = []
-    labels: list[str] = []
-    for path in range(1, n + 1):
-        b = np.zeros((n, n, n), dtype=complex)
-        b[path - 1, path - 1, path - 1] = 1.0
-        cubes.append(b)
-        labels.append(f"path_{path}")
+    labels = [f"path_{path}" for path in range(1, n + 1)]
+    triples = [(path, path, path) for path in range(n)]
     for flipped in (False, True):
         for v, w in coherence_pairs(n):
             first, second = (w, v) if flipped else (v, w)
-            b = np.zeros((n, n, n), dtype=complex)
-            # cyclic images of (1, first, second) carry the 1/sqrt(3) weight
-            triple = (0, first - 1, second - 1)
-            for shift in range(3):
-                pos = (triple[shift], triple[(shift + 1) % 3], triple[(shift + 2) % 3])
-                b[pos] = 1.0 / _SQRT3
-            cubes.append(b)
             labels.append(f"coherence_{first}_{second}")
-    return SubBasis(n_paths, np.stack(cubes), tuple(labels))
+            triples.append((0, first - 1, second - 1))
+    # the cyclic images (j, k, l), (k, l, j), (l, j, k) of each support triple
+    shifted = [np.roll(triples, -shift, axis=1).T for shift in range(3)]
+    cells = np.stack([np.ravel_multi_index(tuple(t), (n,) * 3) for t in shifted], 1)
+    scale = np.where(np.arange(len(labels)) < n, 1.0, _SQRT3)
+    cells.setflags(write=False)
+    scale.setflags(write=False)
+    return SubBasis(n_paths, tuple(labels), cells, scale)
 
 
-def _entries_to_coords(entries: np.ndarray, basis: SubBasis, tol: float) -> np.ndarray:
+def _scatter(coords: np.ndarray, basis: SubBasis) -> np.ndarray:
+    """Tensor entries, shape (..., N, N, N), of coordinate vectors (..., d)."""
     n = basis.n_paths
-    j, k, l = np.meshgrid(*(np.arange(n),) * 3, indexing="ij")
-    two_equal = ((j == k).astype(int) + (k == l) + (j == l)) == 1
-    worst = float(np.abs(entries[two_equal]).max()) if two_equal.any() else 0.0
-    if worst > tol:
-        raise ValueError(
-            f"cube has two-path coherence up to {worst:.3e} and lies outside "
-            "the multiport domain; dephase first"
-        )
-    coords = np.einsum("djkl,jkl->d", basis.cubes.conj(), entries)
-    residual = np.einsum("d,djkl->jkl", coords, basis.cubes) - entries
-    gap = float(np.abs(residual).max())
-    if gap > tol:
-        raise ValueError(
-            f"cube lies outside the multiport subspace (projection residual "
-            f"{gap:.3e}); only three-path coherences involving path 1 are supported"
-        )
-    return coords
+    flat = np.zeros(coords.shape[:-1] + (n**3,), dtype=complex)
+    values = coords / basis.scale
+    for shift in range(3):
+        flat[..., basis.cells[:, shift]] = values
+    return flat.reshape(coords.shape[:-1] + (n,) * 3)
 
 
 def to_coords(cube: HermitianCube, basis: SubBasis, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -220,7 +233,22 @@ def to_coords(cube: HermitianCube, basis: SubBasis, tol: float = DEFAULT_TOL) ->
         raise ValueError(
             f"path-count mismatch: cube has {cube.n_paths}, basis has {basis.n_paths}"
         )
-    return _entries_to_coords(cube.entries, basis, tol)
+    entries = cube.entries
+    two_path, off_support = cell_masks(basis.n_paths)
+    worst = float(np.abs(entries[two_path]).max(initial=0.0))
+    if worst > tol:
+        raise ValueError(
+            f"cube has two-path coherence up to {worst:.3e} and lies outside "
+            "the multiport domain; dephase first"
+        )
+    stray = float(np.abs(entries[off_support]).max(initial=0.0))
+    if stray > tol:
+        raise ValueError(
+            f"cube lies outside the multiport subspace (three-path coherence "
+            f"{stray:.3e} on a triple without path 1); only three-path "
+            "coherences involving path 1 are supported"
+        )
+    return basis.scale * entries.reshape(-1)[basis.cells[:, 0]]
 
 
 def from_coords(
@@ -238,7 +266,7 @@ def from_coords(
     coords = np.asarray(coords, dtype=complex)
     if coords.shape != (basis.dim,):
         raise ValueError(f"expected {basis.dim} coordinates, got shape {coords.shape}")
-    entries = np.einsum("d,djkl->jkl", coords, basis.cubes)
+    entries = _scatter(coords, basis)
     return HermitianCube(basis.n_paths, entries, is_state=is_state, tol=tol)
 
 
@@ -262,27 +290,6 @@ def optimal_cubes(n_paths: int, tol: float = DEFAULT_TOL) -> list[HermitianCube]
             canonical[(1, v, w)] = phases[row, n - 1] / (_SQRT3 * (n_paths - 1))
         cubes.append(hermitian_complete(canonical, n_paths, is_state=True, tol=tol))
     return cubes
-
-
-def hermitian_sqrt(matrix: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Principal square root of a Hermitian positive-semidefinite matrix.
-
-    Eigenvalues in [-tol, 0) are clamped to zero; anything below -tol
-    raises.  The result is Hermitian PSD and squares back to the input up
-    to eigendecomposition error.
-    """
-    arr = np.asarray(matrix, dtype=complex)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {arr.shape}")
-    if np.abs(arr - arr.conj().T).max() > tol:
-        raise ValueError("matrix is not Hermitian within tolerance")
-    eigenvalues, eigenvectors = np.linalg.eigh(arr)
-    if eigenvalues.min() < -tol:
-        raise ValueError(
-            f"matrix is not positive semidefinite: eigenvalue {eigenvalues.min():.3e}"
-        )
-    root = np.sqrt(np.clip(eigenvalues, 0.0, None))
-    return (eigenvectors * root) @ eigenvectors.conj().T
 
 
 @dataclass(frozen=True, eq=False)
@@ -365,14 +372,21 @@ def t3_matrix() -> MultiportMatrix:
     return MultiportMatrix(3, matrix, sub_basis(3))
 
 
+def _identity_residuals(matrix: np.ndarray) -> tuple[float, float]:
+    """Frobenius norms of ``M M - 1`` (involution) and ``M - M+`` (adjoint)."""
+    involution = float(np.linalg.norm(matrix @ matrix - np.eye(len(matrix))))
+    adjoint = float(np.linalg.norm(matrix - matrix.conj().T))
+    return involution, adjoint
+
+
 def assemble_multiport(n_paths: int, tol: float = MATRIX_TOL) -> MultiportMatrix:
     """Build the N-path cube multiport mapping path cube n to optimal cube n.
 
     The population block is ``(ones - id) / (N - 1)``; the coherence rows
     are the three-path coordinates of the optimal cubes; the top-right
-    block is their adjoint; and the closing block is the principal root
-    ``sqrt(1 - B B+)``.  Self-adjointness and the involution property are
-    verified at ``tol`` before returning.
+    block is their adjoint; and the closing block is the closed-form root
+    ``sqrt(1 - B B+) = 1 - ((N-1)/N) B B+``.  Self-adjointness and the
+    involution property are checked at ``tol`` before returning.
     """
     basis = sub_basis(n_paths)
     n, d = n_paths, basis.dim
@@ -386,17 +400,15 @@ def assemble_multiport(n_paths: int, tol: float = MATRIX_TOL) -> MultiportMatrix
     matrix[:n, :n] = a
     matrix[n:, :n] = b
     matrix[:n, n:] = b.conj().T
-    matrix[n:, n:] = hermitian_sqrt(np.eye(d - n) - b @ b.conj().T)
+    matrix[n:, n:] = np.eye(d - n) - ((n - 1) / n) * (b @ b.conj().T)
 
-    result = MultiportMatrix(n_paths, matrix, basis)
-    report = verify_multiport(result, tol)
-    if report.involution_residual > tol or report.adjoint_residual > tol:
+    involution, adjoint = _identity_residuals(matrix)
+    if involution > tol or adjoint > tol:
         raise ValueError(
             f"assembled multiport for N={n_paths} fails its defining identities "
-            f"(involution residual {report.involution_residual:.3e}); the "
-            "principal square-root sign choice did not close the construction"
+            f"(involution residual {involution:.3e}, adjoint {adjoint:.3e})"
         )
-    return result
+    return MultiportMatrix(n_paths, matrix, basis)
 
 
 def apply_transform(
@@ -441,21 +453,12 @@ class MultiportReport:
 
 def _hermitian_coordinate_basis(basis: SubBasis) -> np.ndarray:
     """Real-space basis of Hermitian-constrained coordinate vectors."""
-    n, p, d = basis.n_paths, basis.n_pairs, basis.dim
-    vectors = []
-    for i in range(n):
-        e = np.zeros(d, dtype=complex)
-        e[i] = 1.0
-        vectors.append(e)
-    for i in range(p):
-        plus = np.zeros(d, dtype=complex)
-        plus[n + i] = plus[n + p + i] = 1.0 / np.sqrt(2.0)
-        vectors.append(plus)
-        cross = np.zeros(d, dtype=complex)
-        cross[n + i] = 1j / np.sqrt(2.0)
-        cross[n + p + i] = -1j / np.sqrt(2.0)
-        vectors.append(cross)
-    return np.stack(vectors)
+    n, p = basis.n_paths, basis.n_pairs
+    eye = np.eye(basis.dim, dtype=complex)
+    coherence, conjugate = eye[n : n + p], eye[n + p :]
+    plus = (coherence + conjugate) / np.sqrt(2.0)
+    cross = (coherence - conjugate) * (1j / np.sqrt(2.0))
+    return np.concatenate([eye[:n], plus, cross])
 
 
 def verify_multiport(t: MultiportMatrix, tol: float = MATRIX_TOL) -> MultiportReport:
@@ -468,9 +471,7 @@ def verify_multiport(t: MultiportMatrix, tol: float = MATRIX_TOL) -> MultiportRe
     admissible two-point sets.
     """
     m = t.matrix
-    d = t.basis.dim
-    adjoint = float(np.linalg.norm(m - m.conj().T))
-    involution = float(np.linalg.norm(m @ m - np.eye(d)))
+    involution, adjoint = _identity_residuals(m)
 
     pairing = 0.0
     drift = 0.0
@@ -540,7 +541,7 @@ def reference_optimal_cubes_n4(tol: float = DEFAULT_TOL) -> list[HermitianCube]:
 def alternative_d_blocks_n4() -> list[np.ndarray]:
     """Two further admissible closing blocks for the four-path multiport.
 
-    The principal-root construction is not the only way to close the
+    The closed-form root is not the only way to close the
     transformation; these tabulated alternatives also yield self-adjoint
     involutions with the same A and B blocks.  They are shipped as
     constants for verification, not generated.
@@ -585,8 +586,7 @@ def alternative_multiport_n4(variant: int, tol: float = MATRIX_TOL) -> Multiport
     base = assemble_multiport(4, tol)
     matrix = np.array(base.matrix)
     matrix[4:, 4:] = blocks[variant - 1]
-    result = replace(base, matrix=matrix)
-    report = verify_multiport(result, tol)
-    if report.involution_residual > tol or report.adjoint_residual > tol:
+    involution, adjoint = _identity_residuals(matrix)
+    if involution > tol or adjoint > tol:
         raise ValueError(f"tabulated alternative D block {variant} fails verification")
-    return result
+    return replace(base, matrix=matrix)

@@ -151,6 +151,17 @@ def test_out_writes_file(capsys, tmp_path):
     assert json.loads(target.read_text())["p_inconclusive"] == 0.5
 
 
+def test_out_into_missing_directory_is_a_clean_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "result.json"
+    code, out, err = run_cli(
+        capsys, "ifm", "--model", "cube", "--n", "3", "--out", str(target)
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 # --- reproduce -------------------------------------------------------------------
 
 def test_reproduce_passes(capsys):
@@ -204,8 +215,30 @@ def test_flag_overrides_environment(capsys, monkeypatch):
 def test_invalid_env_tolerance_value(capsys, monkeypatch):
     monkeypatch.setenv("CUBESIM_TOL", "-1.0")
     code, _, err = run_cli(capsys, "ifm", "--model", "cube", "--n", "3")
-    assert code == 1
+    assert code == 2
     assert "positive" in err
+
+
+@pytest.mark.parametrize(
+    "env_tol, argv",
+    [
+        (None, ["ifm", "--model", "cube", "--n", "3", "--seed", "1", "--shots", "0"]),
+        (None, ["sorkin", "--port", "4"]),
+        (None, ["scan", "--n", "3", "--grid", "1"]),
+        (None, ["ifm", "--model", "cube", "--n", "3", "--tol", "-1"]),
+        ("0", ["ifm", "--model", "cube", "--n", "3"]),
+        (None, ["verify", "--n", "3", "--matrix-tol", "-1"]),
+    ],
+)
+def test_usage_errors_exit_2(capsys, monkeypatch, env_tol, argv):
+    if env_tol is not None:
+        monkeypatch.setenv("CUBESIM_TOL", env_tol)
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_unknown_command_is_usage_error():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -228,6 +229,19 @@ def test_sorkin_rejects_two_path_coherence():
     cube = quantum_to_cube(DensityMatrix.from_state_vector([1.0, 1.0, 0.0]))
     with pytest.raises(ValueError, match="dephase"):
         sorkin_term(cube, t3_matrix(), 1)
+
+
+def test_large_cube_run_stays_small_in_memory():
+    # the coordinate maps work on index tables, never on the O(N^5)
+    # dense basis stack (about 500 MB at N = 32)
+    tracemalloc.start()
+    try:
+        result = run_cube_ifm(32)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.p_inconclusive == pytest.approx(1.0 / 31.0, abs=1e-12)
+    assert peak < 200 * 2**20
 
 
 # --- quantum presets ------------------------------------------------------------------

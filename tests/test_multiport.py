@@ -5,6 +5,8 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubesim.cubes import basis_cube
 from cubesim.multiport import (
@@ -16,7 +18,6 @@ from cubesim.multiport import (
     build_phase_matrix,
     coherence_pairs,
     from_coords,
-    hermitian_sqrt,
     optimal_cubes,
     reference_optimal_cubes_n4,
     sub_basis,
@@ -25,9 +26,30 @@ from cubesim.multiport import (
     verify_multiport,
 )
 from cubesim.quantum import DensityMatrix
-from cubesim.tensor import cube_inner, hermitian_complete, is_hermitian
+from cubesim.tensor import DEFAULT_TOL, cube_inner, hermitian_complete, is_hermitian
 
 SQRT3 = math.sqrt(3.0)
+
+
+def hermitian_sqrt(matrix, tol=DEFAULT_TOL):
+    """Principal square root of a Hermitian positive-semidefinite matrix.
+
+    The eigendecomposition oracle for the closed-form closing block.
+    Eigenvalues in [-tol, 0) are clamped to zero; anything below -tol
+    raises.
+    """
+    arr = np.asarray(matrix, dtype=complex)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {arr.shape}")
+    if np.abs(arr - arr.conj().T).max() > tol:
+        raise ValueError("matrix is not Hermitian within tolerance")
+    eigenvalues, eigenvectors = np.linalg.eigh(arr)
+    if eigenvalues.min() < -tol:
+        raise ValueError(
+            f"matrix is not positive semidefinite: eigenvalue {eigenvalues.min():.3e}"
+        )
+    root = np.sqrt(np.clip(eigenvalues, 0.0, None))
+    return (eigenvectors * root) @ eigenvectors.conj().T
 
 
 # --- tabulated reference data -------------------------------------------------
@@ -222,6 +244,51 @@ def test_from_coords_rejects_pairing_violation():
         from_coords(np.array([1, 0, 0, 0.5j, 0.5j]), basis)
 
 
+FINITE = dict(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def in_domain_cubes(draw, max_paths):
+    """Hermitian cubes with populations and path-1 three-path coherences only."""
+    n = draw(st.integers(3, max_paths))
+    pairs = coherence_pairs(n)
+    diag = draw(st.lists(st.floats(-1.0, 1.0, **FINITE), min_size=n, max_size=n))
+    coherences = draw(
+        st.lists(
+            st.complex_numbers(max_magnitude=1.0, **FINITE),
+            min_size=len(pairs),
+            max_size=len(pairs),
+        )
+    )
+    canonical = {(j, j, j): diag[j - 1] for j in range(1, n + 1)}
+    canonical.update({(1, v, w): c for (v, w), c in zip(pairs, coherences)})
+    return hermitian_complete(canonical, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(in_domain_cubes(max_paths=8))
+def test_coordinate_gather_matches_dense_projection(cube):
+    basis = sub_basis(cube.n_paths)
+    dense = np.einsum("djkl,jkl->d", basis.cubes.conj(), cube.entries)
+    np.testing.assert_allclose(to_coords(cube, basis), dense, rtol=0, atol=1e-14)
+
+
+@settings(max_examples=25, deadline=None)
+@given(in_domain_cubes(max_paths=32))
+def test_coordinate_round_trip_up_to_32_paths(cube):
+    basis = sub_basis(cube.n_paths)
+    rebuilt = from_coords(to_coords(cube, basis), basis)
+    np.testing.assert_allclose(rebuilt.entries, cube.entries, rtol=0, atol=1e-15)
+
+
+def test_coordinate_maps_leave_the_dense_stack_unbuilt():
+    t = assemble_multiport(6)
+    apply_transform(t, basis_cube(6, 1))
+    assert "cubes" not in vars(t.basis)
+    assert t.basis.cubes.shape == (t.basis.dim, 6, 6, 6)
+    assert "cubes" in vars(t.basis)
+
+
 # --- the explicit three-path transformation ----------------------------------------
 
 def test_t3_matches_tabulated_matrix():
@@ -337,7 +404,7 @@ def test_optimal_cubes_zero_population_on_own_path():
         assert cube.purity() == pytest.approx(1.0, abs=1e-12)
 
 
-# --- matrix square root -------------------------------------------------------------------
+# --- matrix square root: the closing-block oracle ------------------------------------------
 
 def test_sqrt_identity():
     np.testing.assert_allclose(hermitian_sqrt(np.eye(3)), np.eye(3), atol=1e-14)
@@ -379,6 +446,14 @@ def test_sqrt_rejects_indefinite_matrix():
 def test_sqrt_rejects_non_hermitian():
     with pytest.raises(ValueError, match="Hermitian"):
         hermitian_sqrt(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("n", range(3, 33))
+def test_closed_form_closing_block_is_the_principal_root(n):
+    t = assemble_multiport(n)
+    b = t.block_b
+    root = hermitian_sqrt(np.eye(len(b)) - b @ b.conj().T)
+    np.testing.assert_allclose(t.block_d, root, rtol=0, atol=1e-13)
 
 
 # --- assembly --------------------------------------------------------------------------------
