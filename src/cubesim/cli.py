@@ -18,9 +18,12 @@ flag wins over the environment.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
+from collections.abc import Iterable, Iterator
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,18 +94,52 @@ def _above(convert, bound):
     return parse
 
 
-def _emit(text: str, out: str | None) -> None:
-    if not text.endswith("\n"):
-        text += "\n"
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+def _emit(text: str | Iterable[str], out: str | None) -> None:
+    """Write ``text``, a string or an iterable of chunks, ending in a newline."""
+    chunks = [text] if isinstance(text, str) else text
+    target = nullcontext(sys.stdout) if out is None else open(out, "w", encoding="utf-8")
+    with target as handle:
+        last = ""
+        for chunk in chunks:
+            handle.write(chunk)
+            last = chunk or last
+        if not last.endswith("\n"):
+            handle.write("\n")
 
 
 def _json_dump(payload: object) -> str:
     return json.dumps(payload, sort_keys=True, indent=2)
+
+
+def _multiport_json(transform: multiport.MultiportMatrix) -> Iterator[str]:
+    """``_json_dump(transform.to_json_dict())`` in chunks, one matrix row each.
+
+    A multiport holds few distinct floats (3702 of 1.85M at N = 32), so
+    each distinct bit pattern is formatted once; deduplicating on bits,
+    not values, keeps ``-0.0`` apart from ``0.0``.  Every check runs
+    before the first chunk, so a failure writes nothing.
+    """
+    placeholder = "@matrix@"
+    head, tail = _json_dump(
+        {
+            "basis_order": list(transform.basis.labels),
+            "matrix": placeholder,
+            "n_paths": transform.n_paths,
+        }
+    ).split(json.dumps(placeholder))
+    values = transform.matrix.view(np.float64)  # rows of interleaved re, im
+    bits, index = np.unique(values.view(np.int64), return_inverse=True)
+    distinct = bits.view(np.float64)
+    if not np.isfinite(distinct).all():
+        raise ValueError(f"multiport for N={transform.n_paths} has a non-finite entry")
+    text = np.array([float.__repr__(x) for x in distinct.tolist()], dtype=object)
+    # one row of [re, im] pairs in the indent=2 layout, two levels deep
+    pair = "\n      [\n        %s,\n        %s\n      ]"
+    row = "\n    [" + ",".join([pair] * len(values)) + "\n    ]"
+    rows = (row % tuple(text[i]) for i in index.reshape(values.shape))
+    return itertools.chain(
+        [head, "[", next(rows)], ("," + r for r in rows), ["\n  ]", tail]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -336,8 +373,6 @@ def _cmd_scan(args: argparse.Namespace, config: RunConfig) -> int:
 
 
 def _cmd_sorkin(args: argparse.Namespace, config: RunConfig) -> int:
-    if args.n != 3:
-        raise ValueError("the third-order term is implemented for N=3 only")
     t3 = multiport.t3_matrix()
     inside = multiport.apply_transform(t3, basis_cube(3, 1), tol=config.tolerance)
     coherent = experiments.sorkin_term(inside, t3, args.port, tol=config.tolerance)
@@ -393,8 +428,7 @@ def _cmd_verify(args: argparse.Namespace, config: RunConfig) -> int:
 
 
 def _cmd_dump_matrix(args: argparse.Namespace, config: RunConfig) -> int:
-    transform = multiport.assemble_multiport(args.n)
-    _emit(_json_dump(transform.to_json_dict()), config.out)
+    _emit(_multiport_json(multiport.assemble_multiport(args.n)), config.out)
     return 0
 
 
@@ -408,18 +442,17 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, default_format: str) -> None:
-        p.add_argument("--tol", type=_above(float, 0), default=None, help="entrywise tolerance")
-        p.add_argument(
-            "--format",
-            choices=("json", "csv", "pretty"),
-            default=default_format,
-            dest="output_format",
-        )
+    def common(
+        p: argparse.ArgumentParser, formats: tuple[str, ...], tol: bool = False
+    ) -> None:
+        """Add the shared flags a subcommand honours; ``formats[0]`` is the default."""
+        if tol:
+            p.add_argument("--tol", type=_above(float, 0), default=None, help="entrywise tolerance")
+        p.add_argument("--format", choices=formats, default=formats[0], dest="output_format")
         p.add_argument("--out", default=None, help="write output to this file")
 
     p = sub.add_parser("reproduce", help="run the built-in reference checks")
-    common(p, "pretty")
+    common(p, ("pretty", "json"))
     p.add_argument(
         "--corrupt",
         action="store_true",
@@ -428,7 +461,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_reproduce)
 
     p = sub.add_parser("ifm", help="run one interaction-free measurement")
-    common(p, "json")
+    common(p, ("json", "csv", "pretty"), tol=True)
     p.add_argument("--model", choices=("quantum", "cube"), required=True)
     p.add_argument("--n", type=_parse_single_n, required=True, help="number of paths")
     p.add_argument("--seed", type=int, default=None, help="sample detector clicks")
@@ -436,20 +469,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_ifm)
 
     p = sub.add_parser("scan", help="trade-off region boundaries on a grid")
-    common(p, "csv")
+    common(p, ("csv", "json"))
     p.add_argument("--n", type=_parse_n_values, required=True,
                    help="path counts, e.g. 2,3,4 or 3..8")
     p.add_argument("--grid", type=_above(int, 1), default=101, help="grid points on [0, 1]")
     p.set_defaults(handler=_cmd_scan)
 
     p = sub.add_parser("sorkin", help="third-order interference term (N=3)")
-    common(p, "json")
-    p.add_argument("--n", type=_parse_single_n, default=3)
+    common(p, ("json",), tol=True)
+    p.add_argument("--n", type=int, choices=(3,), default=3)
     p.add_argument("--port", type=int, choices=(1, 2, 3), default=1)
     p.set_defaults(handler=_cmd_sorkin)
 
     p = sub.add_parser("verify", help="multiport residual report")
-    common(p, "pretty")
+    common(p, ("pretty", "json"))
     p.add_argument("--n", type=_parse_n_values, required=True, help="path counts, e.g. 3..8")
     p.add_argument(
         "--matrix-tol",
@@ -460,7 +493,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("dump-matrix", help="serialize an assembled multiport")
-    common(p, "json")
+    common(p, ("json",))
     p.add_argument("--n", type=_parse_single_n, required=True, help="number of paths")
     p.set_defaults(handler=_cmd_dump_matrix)
 

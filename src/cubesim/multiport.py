@@ -379,6 +379,19 @@ def _identity_residuals(matrix: np.ndarray) -> tuple[float, float]:
     return involution, adjoint
 
 
+def _require_identities(matrix: np.ndarray, tol: float, what: str) -> None:
+    """Raise unless ``matrix`` is a self-adjoint involution within ``tol``.
+
+    Written as ``not (residual <= tol)`` so that a NaN residual fails.
+    """
+    involution, adjoint = _identity_residuals(matrix)
+    if not (involution <= tol and adjoint <= tol):
+        raise ValueError(
+            f"{what} fails its defining identities "
+            f"(involution residual {involution:.3e}, adjoint {adjoint:.3e})"
+        )
+
+
 def assemble_multiport(n_paths: int, tol: float = MATRIX_TOL) -> MultiportMatrix:
     """Build the N-path cube multiport mapping path cube n to optimal cube n.
 
@@ -402,12 +415,7 @@ def assemble_multiport(n_paths: int, tol: float = MATRIX_TOL) -> MultiportMatrix
     matrix[:n, n:] = b.conj().T
     matrix[n:, n:] = np.eye(d - n) - ((n - 1) / n) * (b @ b.conj().T)
 
-    involution, adjoint = _identity_residuals(matrix)
-    if involution > tol or adjoint > tol:
-        raise ValueError(
-            f"assembled multiport for N={n_paths} fails its defining identities "
-            f"(involution residual {involution:.3e}, adjoint {adjoint:.3e})"
-        )
+    _require_identities(matrix, tol, f"assembled multiport for N={n_paths}")
     return MultiportMatrix(n_paths, matrix, basis)
 
 
@@ -586,7 +594,5 @@ def alternative_multiport_n4(variant: int, tol: float = MATRIX_TOL) -> Multiport
     base = assemble_multiport(4, tol)
     matrix = np.array(base.matrix)
     matrix[4:, 4:] = blocks[variant - 1]
-    involution, adjoint = _identity_residuals(matrix)
-    if involution > tol or adjoint > tol:
-        raise ValueError(f"tabulated alternative D block {variant} fails verification")
+    _require_identities(matrix, tol, f"tabulated alternative D block {variant}")
     return replace(base, matrix=matrix)

@@ -1,9 +1,11 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from cubesim.cli import main, reference_checks
+from cubesim.cli import _multiport_json, main, reference_checks
+from cubesim.multiport import MultiportMatrix, assemble_multiport, sub_basis
 
 
 def run_cli(capsys, *argv):
@@ -141,6 +143,67 @@ def test_dump_matrix(capsys):
     np.testing.assert_allclose(matrix @ matrix, np.eye(10), atol=1e-9)
 
 
+@pytest.mark.parametrize("n", [3, 4, 5, 8, 32])
+def test_dump_matrix_bytes_match_json_dumps(capsys, tmp_path, n):
+    expected = json.dumps(
+        assemble_multiport(n).to_json_dict(), sort_keys=True, indent=2
+    ) + "\n"
+    code, out, _ = run_cli(capsys, "dump-matrix", "--n", str(n))
+    assert code == 0
+    assert out == expected
+    target = tmp_path / "matrix.json"
+    code, out, _ = run_cli(capsys, "dump-matrix", "--n", str(n), "--out", str(target))
+    assert code == 0
+    assert out == ""
+    assert target.read_bytes() == expected.encode()
+
+
+def test_multiport_json_keeps_every_float_spelling():
+    # -0.0 and 0.0 are equal as values but not as bit patterns
+    values = [0.0, -0.0, 1.0, 5e-324, 1 / 3, -1 / 3, -5e-324, 1e300]
+    matrix = np.resize(values, 50).view(complex).reshape(5, 5)
+    t = MultiportMatrix(3, matrix, sub_basis(3))
+    expected = json.dumps(t.to_json_dict(), sort_keys=True, indent=2)
+    assert "".join(_multiport_json(t)) == expected
+    assert "-0.0" in expected and "5e-324" in expected
+
+
+def test_dump_matrix_rejects_non_finite_entries(capsys, tmp_path, monkeypatch):
+    matrix = np.array(assemble_multiport(3).matrix)
+    matrix[1, 2] = np.nan
+    monkeypatch.setattr(
+        "cubesim.multiport.assemble_multiport",
+        lambda n: MultiportMatrix(3, matrix, sub_basis(3)),
+    )
+    target = tmp_path / "matrix.json"
+    code, out, err = run_cli(capsys, "dump-matrix", "--n", "3", "--out", str(target))
+    assert code == 1
+    assert out == ""
+    assert "non-finite" in err
+    assert not target.exists()
+
+
+def test_dump_matrix_memory_is_bounded(tmp_path):
+    tracemalloc.start()
+    try:
+        code = main(["dump-matrix", "--n", "32", "--out", str(tmp_path / "m.json")])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 200 * 2**20
+
+
+@pytest.mark.parametrize(
+    "argv", [["sorkin"], ["dump-matrix", "--n", "4"]], ids=["sorkin", "dump-matrix"]
+)
+def test_json_format_flag_matches_the_default(capsys, argv):
+    _, default, _ = run_cli(capsys, *argv)
+    code, explicit, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert explicit == default
+
+
 def test_out_writes_file(capsys, tmp_path):
     target = tmp_path / "result.json"
     code, out, _ = run_cli(
@@ -228,6 +291,17 @@ def test_invalid_env_tolerance_value(capsys, monkeypatch):
         (None, ["ifm", "--model", "cube", "--n", "3", "--tol", "-1"]),
         ("0", ["ifm", "--model", "cube", "--n", "3"]),
         (None, ["verify", "--n", "3", "--matrix-tol", "-1"]),
+        # flags a subcommand would accept and then ignore
+        (None, ["reproduce", "--tol", "1e-9"]),
+        (None, ["scan", "--n", "3", "--tol", "1e-9"]),
+        (None, ["verify", "--n", "3", "--tol", "1e-9"]),
+        (None, ["dump-matrix", "--n", "3", "--tol", "1e-9"]),
+        (None, ["reproduce", "--format", "csv"]),
+        (None, ["scan", "--n", "3", "--format", "pretty"]),
+        (None, ["verify", "--n", "3", "--format", "csv"]),
+        (None, ["dump-matrix", "--n", "3", "--format", "csv"]),
+        (None, ["sorkin", "--format", "pretty"]),
+        (None, ["sorkin", "--n", "4"]),
     ],
 )
 def test_usage_errors_exit_2(capsys, monkeypatch, env_tol, argv):

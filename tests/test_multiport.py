@@ -559,6 +559,15 @@ def test_alternative_closing_blocks():
         alternative_multiport_n4(3)
 
 
+def test_assembly_gate_rejects_nan_matrices(monkeypatch):
+    # a NaN residual compares false against any tolerance, so a gate written
+    # as "residual > tol" would let this matrix through
+    blocks = [np.full((6, 6), np.nan, dtype=complex)] * 2
+    monkeypatch.setattr("cubesim.multiport.alternative_d_blocks_n4", lambda: blocks)
+    with pytest.raises(ValueError, match="defining identities"):
+        alternative_multiport_n4(1)
+
+
 # --- serialization -----------------------------------------------------------------------------
 
 def test_multiport_json_layout():
