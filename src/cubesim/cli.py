@@ -10,9 +10,10 @@ verify       residual report for assembled multiports over a range of N
 dump-matrix  serialize an assembled multiport as JSON
 
 Results go to stdout or ``--out``.  Exit codes: 0 success, 1 computation
-failure or failed checks, 2 usage error.  The environment variable
-``CUBESIM_TOL`` overrides the default tolerance; an explicit ``--tol``
-flag wins over the environment.
+failure or failed checks, 2 usage error.  ``ifm`` and ``sorkin`` take a
+comparison tolerance from ``--tol``, else from the environment variable
+``CUBESIM_TOL``, else 1e-10; it never changes the fixed slack of the
+construction-time invariant checks.
 """
 
 from __future__ import annotations
@@ -35,16 +36,6 @@ from .results import results_to_csv
 from .tensor import DEFAULT_TOL, cube_inner
 
 _N_RANGE = (2, 32)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Per-invocation settings shared by all subcommands, checked on parsing."""
-
-    tolerance: float = DEFAULT_TOL
-    output_format: str = "json"
-    out: str | None = None
-    seed: int | None = None
 
 
 def _parse_n_values(text: str) -> list[int]:
@@ -327,58 +318,49 @@ def _format_checks(checks: list[Check], fmt: str) -> str:
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
-def _cmd_reproduce(args: argparse.Namespace, config: RunConfig) -> int:
+def _cmd_reproduce(args: argparse.Namespace) -> int:
     checks = reference_checks(corrupt=args.corrupt)
-    _emit(_format_checks(checks, config.output_format), config.out)
+    _emit(_format_checks(checks, args.output_format), args.out)
     return 0 if all(c.passed for c in checks) else 1
 
 
-def _cmd_ifm(args: argparse.Namespace, config: RunConfig) -> int:
-    n = args.n
+def _cmd_ifm(args: argparse.Namespace) -> int:
     if args.model == "cube":
-        result = experiments.run_cube_ifm(n, tol=config.tolerance)
+        result = experiments.run_cube_ifm(args.n, tol=args.tol)
     else:
-        presets = {
-            r.label: r for r in experiments.run_quantum_presets(tol=config.tolerance)
-        }
-        label = f"fourier_{n}"
-        if label not in presets:
-            raise ValueError(
-                f"no quantum preset for N={n}; available N: 2..8"
-            )
-        result = presets[label]
+        result = experiments.fourier_preset(args.n, tol=args.tol)
     payload = result.to_json_dict()
-    if config.seed is not None:
-        payload["clicks"] = experiments.sample_clicks(result, args.shots, config.seed)
-    if config.output_format == "csv":
-        _emit(results_to_csv([result]), config.out)
-    elif config.output_format == "pretty":
+    if args.seed is not None:
+        payload["clicks"] = experiments.sample_clicks(result, args.shots, args.seed)
+    if args.output_format == "csv":
+        _emit(results_to_csv([result]), args.out)
+    elif args.output_format == "pretty":
         lines = [f"{key}: {value}" for key, value in sorted(payload.items())]
-        _emit("\n".join(lines), config.out)
+        _emit("\n".join(lines), args.out)
     else:
-        _emit(_json_dump(payload), config.out)
+        _emit(_json_dump(payload), args.out)
     return 0
 
 
-def _cmd_scan(args: argparse.Namespace, config: RunConfig) -> int:
+def _cmd_scan(args: argparse.Namespace) -> int:
     rows = experiments.region_scan(args.n, args.grid)
-    if config.output_format == "json":
+    if args.output_format == "json":
         payload = [
             {"n_paths": n, "p_trigger": p, "bound": bound} for n, p, bound in rows
         ]
-        _emit(_json_dump(payload), config.out)
+        _emit(_json_dump(payload), args.out)
     else:
-        _emit(experiments.region_scan_csv(rows), config.out)
+        _emit(experiments.region_scan_csv(rows), args.out)
     return 0
 
 
-def _cmd_sorkin(args: argparse.Namespace, config: RunConfig) -> int:
+def _cmd_sorkin(args: argparse.Namespace) -> int:
     t3 = multiport.t3_matrix()
-    inside = multiport.apply_transform(t3, basis_cube(3, 1), tol=config.tolerance)
-    coherent = experiments.sorkin_term(inside, t3, args.port, tol=config.tolerance)
+    inside = multiport.apply_transform(t3, basis_cube(3, 1), tol=args.tol)
+    coherent = experiments.sorkin_term(inside, t3, args.port, tol=args.tol)
     reference = quantum_to_cube(DensityMatrix.maximally_mixed(3))
     quantum = experiments.sorkin_term(
-        dephase(reference), t3, args.port, tol=config.tolerance
+        dephase(reference), t3, args.port, tol=args.tol
     )
     payload = {
         "n_paths": 3,
@@ -386,11 +368,11 @@ def _cmd_sorkin(args: argparse.Namespace, config: RunConfig) -> int:
         "three_path_coherent_cube": coherent,
         "dephased_quantum_cube": quantum,
     }
-    _emit(_json_dump(payload), config.out)
+    _emit(_json_dump(payload), args.out)
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace, config: RunConfig) -> int:
+def _cmd_verify(args: argparse.Namespace) -> int:
     tol = args.matrix_tol
     reports = []
     for n in args.n:
@@ -409,8 +391,8 @@ def _cmd_verify(args: argparse.Namespace, config: RunConfig) -> int:
         }
         for r in reports
     ]
-    if config.output_format == "json":
-        _emit(_json_dump(rows), config.out)
+    if args.output_format == "json":
+        _emit(_json_dump(rows), args.out)
     else:
         lines = []
         for row in rows:
@@ -423,12 +405,12 @@ def _cmd_verify(args: argparse.Namespace, config: RunConfig) -> int:
                 f"D-spectrum={row['d_spectrum_deviation']:.3e}  "
                 f"BB-spectrum={row['bb_spectrum_deviation']:.3e}  [{status}]"
             )
-        _emit("\n".join(lines), config.out)
+        _emit("\n".join(lines), args.out)
     return 0 if all(row["passed"] for row in rows) else 1
 
 
-def _cmd_dump_matrix(args: argparse.Namespace, config: RunConfig) -> int:
-    _emit(_multiport_json(multiport.assemble_multiport(args.n)), config.out)
+def _cmd_dump_matrix(args: argparse.Namespace) -> int:
+    _emit(_multiport_json(multiport.assemble_multiport(args.n)), args.out)
     return 0
 
 
@@ -447,7 +429,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ) -> None:
         """Add the shared flags a subcommand honours; ``formats[0]`` is the default."""
         if tol:
-            p.add_argument("--tol", type=_above(float, 0), default=None, help="entrywise tolerance")
+            p.add_argument("--tol", type=_above(float, 0), default=None, help="comparison tolerance")
         p.add_argument("--format", choices=formats, default=formats[0], dest="output_format")
         p.add_argument("--out", default=None, help="write output to this file")
 
@@ -501,31 +483,24 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
 
-    tolerance = DEFAULT_TOL
-    env_tol = os.environ.get("CUBESIM_TOL")
-    if env_tol is not None:
-        try:
-            tolerance = float(env_tol)
-        except ValueError:
-            print(f"error: CUBESIM_TOL={env_tol!r} is not a number", file=sys.stderr)
-            return 2
-    if getattr(args, "tol", None) is not None:
-        tolerance = args.tol
-    elif not tolerance > 0:
-        print(f"error: CUBESIM_TOL={env_tol!r} must be positive", file=sys.stderr)
-        return 2
+    # only the subcommands that take --tol read CUBESIM_TOL
+    if hasattr(args, "tol") and args.tol is None:
+        args.tol = DEFAULT_TOL
+        env_tol = os.environ.get("CUBESIM_TOL")
+        if env_tol is not None:
+            try:
+                args.tol = float(env_tol)
+            except ValueError:
+                print(f"error: CUBESIM_TOL={env_tol!r} is not a number", file=sys.stderr)
+                return 2
+            if not args.tol > 0:
+                print(f"error: CUBESIM_TOL={env_tol!r} must be positive", file=sys.stderr)
+                return 2
 
     try:
-        config = RunConfig(
-            tolerance=tolerance,
-            output_format=args.output_format,
-            out=args.out,
-            seed=getattr(args, "seed", None),
-        )
-        return args.handler(args, config)
+        return args.handler(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

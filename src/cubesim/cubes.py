@@ -41,7 +41,7 @@ def basis_cubes(n_paths: int) -> list[HermitianCube]:
     return [basis_cube(n_paths, path) for path in range(1, n_paths + 1)]
 
 
-def quantum_to_cube(rho: DensityMatrix, tol: float = DEFAULT_TOL) -> HermitianCube:
+def quantum_to_cube(rho: DensityMatrix) -> HermitianCube:
     """Embed a density matrix as a cube with no three-path coherence.
 
     Populations map to the diagonal, and for j < k the real and imaginary
@@ -56,7 +56,7 @@ def quantum_to_cube(rho: DensityMatrix, tol: float = DEFAULT_TOL) -> HermitianCu
         for k in range(j + 1, rho.n_paths + 1):
             canonical[(j, j, k)] = _RE_WEIGHT * entries[j - 1, k - 1].real
             canonical[(j, k, k)] = _RE_WEIGHT * entries[j - 1, k - 1].imag
-    return hermitian_complete(canonical, rho.n_paths, is_state=True, tol=tol)
+    return hermitian_complete(canonical, rho.n_paths, is_state=True)
 
 
 def default_phase_function(n_paths: int) -> PhaseFunction:
@@ -85,7 +85,6 @@ def nonquantum_cube(
     rho: DensityMatrix,
     gamma: int,
     phases: PhaseFunction | None = None,
-    tol: float = DEFAULT_TOL,
 ) -> HermitianCube:
     """Cube with genuine three-path coherence built from a quantum state.
 
@@ -116,7 +115,7 @@ def nonquantum_cube(
             canonical[(j, k, k)] = _RE_WEIGHT * scale * entries[j - 1, k - 1].imag
     for j, k in coherence_pairs(n):
         canonical[(1, j, k)] = omega ** phases(gamma, j, k) * scale / np.sqrt(3.0)
-    return hermitian_complete(canonical, n, is_state=True, tol=tol)
+    return hermitian_complete(canonical, n, is_state=True)
 
 
 def measure_path_prob(cube: HermitianCube, path: int, tol: float = DEFAULT_TOL) -> float:
@@ -159,10 +158,10 @@ def luders_update_cube(
     entries[path - 1, :, :] = 0.0
     entries[:, path - 1, :] = 0.0
     entries[:, :, path - 1] = 0.0
-    return HermitianCube(cube.n_paths, entries / (1.0 - p), is_state=True, tol=tol)
+    return HermitianCube(cube.n_paths, entries / (1.0 - p), is_state=True)
 
 
-def dephase(cube: HermitianCube, tol: float = DEFAULT_TOL) -> HermitianCube:
+def dephase(cube: HermitianCube) -> HermitianCube:
     """Remove all two-path coherences, keeping populations and three-path terms.
 
     Zeroes every entry whose index triple has exactly two equal indices.
@@ -172,4 +171,4 @@ def dephase(cube: HermitianCube, tol: float = DEFAULT_TOL) -> HermitianCube:
         raise ValueError("dephasing is defined for state cubes only")
     two_path, _ = cell_masks(cube.n_paths)
     entries = np.where(two_path, 0.0, cube.entries)
-    return HermitianCube(cube.n_paths, entries, is_state=True, tol=tol)
+    return HermitianCube(cube.n_paths, entries, is_state=True)

@@ -72,33 +72,31 @@ def run_cube_ifm(n_paths: int, tol: float = DEFAULT_TOL) -> IFMResult:
     )
 
 
+def fourier_preset(n_paths: int, tol: float = DEFAULT_TOL) -> IFMResult:
+    """Quantum run of the N-path Fourier interferometer: the Fourier transform
+    in, the bomb in path 1, the inverse transform out.  Presets exist for
+    N = 2..8."""
+    if not 2 <= n_paths <= 8:
+        raise ValueError(f"no quantum preset for N={n_paths}; available N: 2..8")
+    f = fourier_unitary(n_paths)
+    inverse = UnitaryMatrix(n_paths, f.entries.conj().T)
+    return quantum_ifm(
+        inject_first_path(f), inverse, bomb_path=1, tol=tol, label=f"fourier_{n_paths}"
+    )
+
+
 def run_quantum_presets(tol: float = DEFAULT_TOL) -> list[IFMResult]:
     """Reference quantum runs: the two-path bomb tester and Fourier
     interferometers for N = 2..8, each with its trade-off bound attached."""
-    results = []
     beam_splitter = fourier_unitary(2)
-    results.append(
-        quantum_ifm(
-            inject_first_path(beam_splitter),
-            beam_splitter,
-            bomb_path=1,
-            tol=tol,
-            label="elitzur_vaidman",
-        )
+    bomb_tester = quantum_ifm(
+        inject_first_path(beam_splitter),
+        beam_splitter,
+        bomb_path=1,
+        tol=tol,
+        label="elitzur_vaidman",
     )
-    for n in range(2, 9):
-        f = fourier_unitary(n)
-        inverse = UnitaryMatrix(n, f.entries.conj().T)
-        results.append(
-            quantum_ifm(
-                inject_first_path(f),
-                inverse,
-                bomb_path=1,
-                tol=tol,
-                label=f"fourier_{n}",
-            )
-        )
-    return results
+    return [bomb_tester] + [fourier_preset(n, tol) for n in range(2, 9)]
 
 
 def region_scan(

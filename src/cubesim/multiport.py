@@ -26,11 +26,11 @@ matches the tabulated four-path cube family entry for entry.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .tensor import DEFAULT_TOL, HermitianCube, hermitian_complete
+from .tensor import DEFAULT_TOL, HermitianCube, _freeze, hermitian_complete
 
 #: Frobenius-norm tolerance for assembled-matrix identities; looser than
 #: the entrywise default because rounding in the d x d matrix products
@@ -79,7 +79,6 @@ class PhaseMatrix:
 
     n_paths: int
     matrix: np.ndarray
-    tol: float = field(default=DEFAULT_TOL, repr=False)
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.matrix, dtype=complex)
@@ -89,7 +88,7 @@ class PhaseMatrix:
             raise ValueError(
                 f"phase matrix for N={n} must have shape {(rows, n)}, got {arr.shape}"
             )
-        if np.abs(np.abs(arr) - 1.0).max() > self.tol:
+        if np.abs(np.abs(arr) - 1.0).max() > DEFAULT_TOL:
             raise ValueError("phase matrix entries must have unit modulus")
         gram = 2.0 * np.real(arr.conj().T @ arr)
         off = gram - np.diag(np.diag(gram))
@@ -98,9 +97,7 @@ class PhaseMatrix:
             raise ValueError(
                 "phase-vector overlaps do not satisfy the fixed-overlap condition"
             )
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "matrix", arr)
+        _freeze(self, "matrix", arr)
 
     @property
     def pairs(self) -> list[tuple[int, int]]:
@@ -181,11 +178,9 @@ class SubBasis:
         Hermitian cube (real diagonal part, conjugate-paired coherences)."""
         coords = np.asarray(coords, dtype=complex)
         n, p = self.n_paths, self.n_pairs
-        worst = float(np.abs(coords[:n].imag).max()) if n else 0.0
-        if p:
-            mismatch = coords[n : n + p] - np.conj(coords[n + p :])
-            worst = max(worst, float(np.abs(mismatch).max()))
-        return worst
+        mismatch = coords[n : n + p] - np.conj(coords[n + p :])
+        deviations = np.abs(np.concatenate([coords[:n].imag, mismatch]))
+        return float(deviations.max(initial=0.0))
 
     def diagonal_sum(self, coords: np.ndarray) -> float:
         return float(np.asarray(coords)[: self.n_paths].real.sum())
@@ -256,7 +251,6 @@ def from_coords(
     basis: SubBasis,
     *,
     is_state: bool = False,
-    tol: float = DEFAULT_TOL,
 ) -> HermitianCube:
     """Cube with the given sub-basis coordinates.
 
@@ -267,10 +261,10 @@ def from_coords(
     if coords.shape != (basis.dim,):
         raise ValueError(f"expected {basis.dim} coordinates, got shape {coords.shape}")
     entries = _scatter(coords, basis)
-    return HermitianCube(basis.n_paths, entries, is_state=is_state, tol=tol)
+    return HermitianCube(basis.n_paths, entries, is_state=is_state)
 
 
-def optimal_cubes(n_paths: int, tol: float = DEFAULT_TOL) -> list[HermitianCube]:
+def optimal_cubes(n_paths: int) -> list[HermitianCube]:
     """The N mutually orthogonal pure cubes targeted by the multiport.
 
     Cube n has population 1/(N-1) in every path except path n, no two-path
@@ -288,7 +282,7 @@ def optimal_cubes(n_paths: int, tol: float = DEFAULT_TOL) -> list[HermitianCube]
         }
         for row, (v, w) in enumerate(pairs):
             canonical[(1, v, w)] = phases[row, n - 1] / (_SQRT3 * (n_paths - 1))
-        cubes.append(hermitian_complete(canonical, n_paths, is_state=True, tol=tol))
+        cubes.append(hermitian_complete(canonical, n_paths, is_state=True))
     return cubes
 
 
@@ -315,9 +309,7 @@ class MultiportMatrix:
             raise ValueError("matrix and basis disagree on the path count")
         if arr.shape != (d, d):
             raise ValueError(f"expected a {d} x {d} matrix, got shape {arr.shape}")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "matrix", arr)
+        _freeze(self, "matrix", arr)
 
     @property
     def block_a(self) -> np.ndarray:
@@ -424,7 +416,7 @@ def apply_transform(
 ) -> HermitianCube:
     """Act on a cube by matrix multiplication on its coordinate vector."""
     coords = to_coords(cube, t.basis, tol=tol)
-    return from_coords(t.matrix @ coords, t.basis, is_state=cube.is_state, tol=tol)
+    return from_coords(t.matrix @ coords, t.basis, is_state=cube.is_state)
 
 
 @dataclass(frozen=True)
@@ -478,17 +470,16 @@ def verify_multiport(t: MultiportMatrix, tol: float = MATRIX_TOL) -> MultiportRe
     membership of the closing-block and coherence-Gram spectra in their
     admissible two-point sets.
     """
-    m = t.matrix
+    m, basis = t.matrix, t.basis
     involution, adjoint = _identity_residuals(m)
 
-    pairing = 0.0
-    drift = 0.0
-    for vec in _hermitian_coordinate_basis(t.basis):
-        image = m @ vec
-        pairing = max(pairing, t.basis.hermitian_coord_violation(image))
-        drift = max(
-            drift, abs(t.basis.diagonal_sum(image) - t.basis.diagonal_sum(vec))
-        )
+    # numpy's max, unlike the builtin, propagates a NaN
+    vectors = _hermitian_coordinate_basis(basis)
+    images = [m @ vec for vec in vectors]
+    pairing = np.max([basis.hermitian_coord_violation(image) for image in images])
+    drift = np.max(
+        [abs(basis.diagonal_sum(x) - basis.diagonal_sum(v)) for x, v in zip(images, vectors)]
+    )
 
     n = t.n_paths
     inverse_weight = 1.0 / (n - 1)
@@ -505,8 +496,8 @@ def verify_multiport(t: MultiportMatrix, tol: float = MATRIX_TOL) -> MultiportRe
         n_paths=n,
         adjoint_residual=adjoint,
         involution_residual=involution,
-        pairing_violation=pairing,
-        diagonal_sum_drift=drift,
+        pairing_violation=float(pairing),
+        diagonal_sum_drift=float(drift),
         d_spectrum_deviation=d_dev,
         bb_spectrum_deviation=bb_dev,
     )
@@ -533,7 +524,7 @@ _N4_PHASES = np.array(
 )
 
 
-def reference_optimal_cubes_n4(tol: float = DEFAULT_TOL) -> list[HermitianCube]:
+def reference_optimal_cubes_n4() -> list[HermitianCube]:
     """The tabulated four-path optimal cubes, entry for entry."""
     cubes = []
     for n in range(1, 5):
@@ -542,7 +533,7 @@ def reference_optimal_cubes_n4(tol: float = DEFAULT_TOL) -> list[HermitianCube]:
         }
         for row, (v, w) in enumerate(coherence_pairs(4)):
             canonical[(1, v, w)] = _N4_PHASES[row, n - 1] * _N4_UNIT
-        cubes.append(hermitian_complete(canonical, 4, is_state=True, tol=tol))
+        cubes.append(hermitian_complete(canonical, 4, is_state=True))
     return cubes
 
 

@@ -9,13 +9,13 @@ measurement together with the quantum trade-off lower bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
 from .results import IFMResult
-from .tensor import DEFAULT_TOL
+from .tensor import DEFAULT_TOL, _freeze
 
 #: Threshold above which an output-port probability of the no-bomb run
 #: counts as part of the inconclusive support set.  Deliberately distinct
@@ -37,7 +37,6 @@ class DensityMatrix:
 
     n_paths: int
     entries: np.ndarray
-    tol: float = field(default=DEFAULT_TOL, repr=False)
 
     def __post_init__(self) -> None:
         arr = _as_square(self.entries, "density matrix")
@@ -45,27 +44,25 @@ class DensityMatrix:
             raise ValueError(
                 f"entries shape {arr.shape} does not match n_paths={self.n_paths}"
             )
-        if np.abs(arr - arr.conj().T).max() > self.tol:
+        if np.abs(arr - arr.conj().T).max() > DEFAULT_TOL:
             raise ValueError("density matrix is not Hermitian within tolerance")
         trace = complex(np.trace(arr))
-        if abs(trace - 1.0) > self.tol:
+        if abs(trace - 1.0) > DEFAULT_TOL:
             raise ValueError(f"density matrix trace is {trace}, expected 1")
         lowest = float(np.linalg.eigvalsh(arr).min())
-        if lowest < -self.tol:
+        if lowest < -DEFAULT_TOL:
             raise ValueError(f"density matrix has negative eigenvalue {lowest:.3e}")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "entries", arr)
+        _freeze(self, "entries", arr)
 
     @classmethod
-    def from_state_vector(cls, amplitudes: object, tol: float = DEFAULT_TOL) -> "DensityMatrix":
+    def from_state_vector(cls, amplitudes: object) -> "DensityMatrix":
         """Rank-1 density matrix of a pure state; the vector is normalized."""
         vec = np.asarray(amplitudes, dtype=complex).reshape(-1)
         norm = float(np.linalg.norm(vec))
         if norm == 0.0:
             raise ValueError("cannot normalize the zero vector")
         vec = vec / norm
-        return cls(vec.size, np.outer(vec, vec.conj()), tol=tol)
+        return cls(vec.size, np.outer(vec, vec.conj()))
 
     @classmethod
     def path_state(cls, n_paths: int, path: int) -> "DensityMatrix":
@@ -94,7 +91,6 @@ class UnitaryMatrix:
 
     n_paths: int
     entries: np.ndarray
-    tol: float = field(default=DEFAULT_TOL, repr=False)
 
     def __post_init__(self) -> None:
         arr = _as_square(self.entries, "unitary")
@@ -103,11 +99,9 @@ class UnitaryMatrix:
                 f"entries shape {arr.shape} does not match n_paths={self.n_paths}"
             )
         residual = np.abs(arr @ arr.conj().T - np.eye(self.n_paths)).max()
-        if residual > self.tol:
+        if residual > DEFAULT_TOL:
             raise ValueError(f"matrix is not unitary: residual {residual:.3e}")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "entries", arr)
+        _freeze(self, "entries", arr)
 
 
 def fourier_unitary(n: int) -> UnitaryMatrix:
@@ -147,7 +141,7 @@ def luders_remove_path(
     keep = np.eye(rho.n_paths, dtype=complex)
     keep[path - 1, path - 1] = 0.0
     projected = keep @ rho.entries @ keep
-    return p_trigger, DensityMatrix(rho.n_paths, projected / (1.0 - p_trigger), tol=tol)
+    return p_trigger, DensityMatrix(rho.n_paths, projected / (1.0 - p_trigger))
 
 
 def support_projector(rho: DensityMatrix, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -275,11 +269,11 @@ def _entries_from_json(data: Mapping) -> tuple[int, np.ndarray]:
     return n_paths, arr
 
 
-def density_matrix_from_json_dict(data: Mapping, tol: float = DEFAULT_TOL) -> DensityMatrix:
+def density_matrix_from_json_dict(data: Mapping) -> DensityMatrix:
     n_paths, arr = _entries_from_json(data)
-    return DensityMatrix(n_paths, arr, tol=tol)
+    return DensityMatrix(n_paths, arr)
 
 
-def unitary_from_json_dict(data: Mapping, tol: float = DEFAULT_TOL) -> UnitaryMatrix:
+def unitary_from_json_dict(data: Mapping) -> UnitaryMatrix:
     n_paths, arr = _entries_from_json(data)
-    return UnitaryMatrix(n_paths, arr, tol=tol)
+    return UnitaryMatrix(n_paths, arr)

@@ -14,13 +14,14 @@ output; the storage layout is an internal detail.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Mapping
 
 import numpy as np
 
-#: Default entrywise comparison tolerance.  Constructions involve roots of
-#: unity and matrix square roots, so exact equality is never required.
+#: Default entrywise comparison tolerance, and the fixed slack of every
+#: construction-time invariant check.  Constructions involve roots of unity
+#: and matrix square roots, so exact equality is never required.
 DEFAULT_TOL = 1e-10
 
 # All slot permutations of an index triple with their signs.  The identity
@@ -39,15 +40,12 @@ _TRIPLE_PERMS: tuple[tuple[tuple[int, int, int], int], ...] = (
 _TRANSPOSITIONS = ((1, 0, 2), (0, 2, 1), (2, 1, 0))
 
 
-@dataclass(frozen=True)
-class Tolerance:
-    """Positive comparison tolerance, overridable per run."""
-
-    eps: float = DEFAULT_TOL
-
-    def __post_init__(self) -> None:
-        if not self.eps > 0:
-            raise ValueError(f"tolerance must be positive, got {self.eps}")
+def _freeze(obj: object, name: str, arr: np.ndarray) -> None:
+    """Store a read-only copy of ``arr`` as field ``name`` of the frozen
+    dataclass ``obj``; the validated value types call this last."""
+    arr = arr.copy()
+    arr.setflags(write=False)
+    object.__setattr__(obj, name, arr)
 
 
 def _as_cube_array(tensor: object) -> np.ndarray:
@@ -93,14 +91,15 @@ class HermitianCube:
         ``sum_n C[n,n,n] = 1`` with each diagonal entry in [0, 1] and
         purity ``(C, C) <= 1``.  Effect cubes (e.g. the path measurement
         cubes) skip those checks.
-    tol : float
-        Tolerance used for the construction-time invariant checks.
+
+    Every invariant is checked with the fixed slack ``DEFAULT_TOL``, which
+    absorbs rounding in the constructions; the ``tol`` arguments of the
+    operations on cubes are comparison thresholds and do not change it.
     """
 
     n_paths: int
     entries: np.ndarray
     is_state: bool = False
-    tol: float = field(default=DEFAULT_TOL, repr=False)
 
     def __post_init__(self) -> None:
         arr = _as_cube_array(self.entries)
@@ -111,23 +110,21 @@ class HermitianCube:
                 f"entries shape {arr.shape} does not match n_paths={self.n_paths}"
             )
         violation = hermiticity_violation(arr)
-        if violation > self.tol:
+        if violation > DEFAULT_TOL:
             raise ValueError(
                 f"tensor is not Hermitian: max conjugation mismatch {violation:.3e}"
             )
         if self.is_state:
             diag = np.einsum("jjj->j", arr)
             total = float(diag.real.sum())
-            if abs(total - 1.0) > self.tol:
+            if abs(total - 1.0) > DEFAULT_TOL:
                 raise ValueError(f"state cube diagonal sums to {total}, expected 1")
-            if diag.real.min() < -self.tol or diag.real.max() > 1.0 + self.tol:
+            if diag.real.min() < -DEFAULT_TOL or diag.real.max() > 1.0 + DEFAULT_TOL:
                 raise ValueError("state cube diagonal entries must lie in [0, 1]")
             pur = float(np.vdot(arr, arr).real)
-            if pur > 1.0 + self.tol:
+            if pur > 1.0 + DEFAULT_TOL:
                 raise ValueError(f"state cube purity {pur} exceeds 1")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "entries", arr)
+        _freeze(self, "entries", arr)
 
     def entry(self, j: int, k: int, l: int) -> complex:
         """Entry at 1-based semantic indices (j, k, l)."""
@@ -180,7 +177,6 @@ def hermitian_complete(
     n_paths: int,
     *,
     is_state: bool = False,
-    tol: float = DEFAULT_TOL,
 ) -> HermitianCube:
     """Build a full Hermitian cube from values on canonical index triples.
 
@@ -188,7 +184,7 @@ def hermitian_complete(
     default to zero.  Even permutations of a triple receive the stated
     value and odd permutations its conjugate.  A triple with a repeated
     index is its own odd permutation, so its value must be real (within
-    ``tol``) for the completion to be consistent; complex values there
+    ``DEFAULT_TOL``) for the completion to be consistent; complex values there
     raise rather than being silently projected.
     """
     entries = np.zeros((n_paths,) * 3, dtype=complex)
@@ -199,7 +195,7 @@ def hermitian_complete(
                 f"non-canonical or out-of-range index triple {triple} for N={n_paths}"
             )
         value = complex(value)
-        if len({j, k, l}) < 3 and abs(value.imag) > tol:
+        if len({j, k, l}) < 3 and abs(value.imag) > DEFAULT_TOL:
             raise ValueError(
                 f"value at repeated-index triple {triple} must be real, "
                 f"got imaginary part {value.imag:.3e}"
@@ -208,7 +204,7 @@ def hermitian_complete(
         for perm, sign in _TRIPLE_PERMS:
             pos = (base[perm[0]], base[perm[1]], base[perm[2]])
             entries[pos] = value if sign > 0 else np.conj(value)
-    return HermitianCube(n_paths, entries, is_state=is_state, tol=tol)
+    return HermitianCube(n_paths, entries, is_state=is_state)
 
 
 def extract_canonical(cube: HermitianCube) -> dict[tuple[int, int, int], complex]:
@@ -240,9 +236,7 @@ def cube_to_json_dict(cube: HermitianCube) -> dict:
     return {"n_paths": cube.n_paths, "entries": records}
 
 
-def cube_from_json_dict(
-    data: Mapping, *, is_state: bool = False, tol: float = DEFAULT_TOL
-) -> HermitianCube:
+def cube_from_json_dict(data: Mapping, *, is_state: bool = False) -> HermitianCube:
     """Load a cube from its canonical-triple JSON form via Hermitian completion."""
     n_paths = int(data["n_paths"])
     canonical = {
@@ -251,4 +245,4 @@ def cube_from_json_dict(
         )
         for rec in data["entries"]
     }
-    return hermitian_complete(canonical, n_paths, is_state=is_state, tol=tol)
+    return hermitian_complete(canonical, n_paths, is_state=is_state)

@@ -275,6 +275,47 @@ def test_flag_overrides_environment(capsys, monkeypatch):
     assert code == 0
 
 
+@pytest.mark.parametrize("env_tol", ["0", "-1.0", "not-a-number"])
+def test_env_tolerance_is_ignored_without_tol_flag(capsys, monkeypatch, env_tol):
+    argv = ("scan", "--n", "3", "--grid", "3")
+    _, expected, _ = run_cli(capsys, *argv)
+    monkeypatch.setenv("CUBESIM_TOL", env_tol)
+    assert run_cli(capsys, *argv) == (0, expected, "")
+
+
+# Construction invariants keep their fixed 1e-10 slack, so a tight --tol only
+# tightens the comparisons it names.
+CONSTRUCTION_INVARIANTS = (
+    "purity",
+    "diagonal sums",
+    "trace is",
+    "not Hermitian",
+    "negative eigenvalue",
+    "not unitary",
+    "unit modulus",
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["sorkin", "--port", str(port)] for port in (1, 2, 3)]
+    + [["ifm", "--model", "quantum", "--n", str(n)] for n in range(2, 8)],
+    ids=[f"sorkin-port{port}" for port in (1, 2, 3)]
+    + [f"quantum-n{n}" for n in range(2, 8)],
+)
+def test_tight_tolerance_keeps_the_default_output(capsys, argv):
+    _, expected, _ = run_cli(capsys, *argv)
+    assert run_cli(capsys, *argv, "--tol", "1e-16") == (0, expected, "")
+
+
+@pytest.mark.parametrize("tol", ["1e-16", "1e-15"])
+@pytest.mark.parametrize("n", [3, 4, 12, 32])
+def test_tight_tolerance_names_no_construction_invariant(capsys, n, tol):
+    code, _, err = run_cli(capsys, "ifm", "--model", "cube", "--n", str(n), "--tol", tol)
+    assert code in (0, 1)
+    assert not any(word in err for word in CONSTRUCTION_INVARIANTS)
+
+
 def test_invalid_env_tolerance_value(capsys, monkeypatch):
     monkeypatch.setenv("CUBESIM_TOL", "-1.0")
     code, _, err = run_cli(capsys, "ifm", "--model", "cube", "--n", "3")

@@ -543,6 +543,17 @@ def test_verify_detects_corruption():
     assert not report.passes()
 
 
+@pytest.mark.parametrize("n", [3, 6])
+def test_verify_reports_nan_for_a_nan_entry(n):
+    t = assemble_multiport(n)
+    corrupted = np.array(t.matrix)
+    corrupted[0, 1] = np.nan
+    report = verify_multiport(replace(t, matrix=corrupted))
+    assert math.isnan(report.pairing_violation)
+    assert math.isnan(report.diagonal_sum_drift)
+    assert not report.passes()
+
+
 def test_alternative_closing_blocks():
     tabulated = tabulated_four_path_matrix_variant2()
     for variant in (1, 2):

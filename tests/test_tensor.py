@@ -8,9 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubesim.tensor import (
-    DEFAULT_TOL,
     HermitianCube,
-    Tolerance,
     canonical_triples,
     cube_from_json_dict,
     cube_inner,
@@ -195,12 +193,6 @@ def test_entries_are_frozen():
     cube = unit_cube(1)
     with pytest.raises(ValueError):
         cube.entries[0, 0, 0] = 2.0
-
-
-def test_tolerance_must_be_positive():
-    with pytest.raises(ValueError, match="positive"):
-        Tolerance(0.0)
-    assert Tolerance().eps == DEFAULT_TOL
 
 
 # --- property tests ---------------------------------------------------------
