@@ -9,7 +9,7 @@ measurement together with the quantum trade-off lower bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
@@ -23,6 +23,8 @@ from .tensor import DEFAULT_TOL, _freeze
 #: tuned (destructive-interference) interferometers.
 SUPPORT_TOL = 1e-9
 
+_EPS = float(np.finfo(float).eps)
+
 
 def _as_square(entries: object, what: str) -> np.ndarray:
     arr = np.asarray(entries, dtype=complex)
@@ -31,12 +33,29 @@ def _as_square(entries: object, what: str) -> np.ndarray:
     return arr
 
 
+def _check_hermitian_unit_trace(arr: np.ndarray) -> None:
+    if np.abs(arr - arr.conj().T).max() > DEFAULT_TOL:
+        raise ValueError("density matrix is not Hermitian within tolerance")
+    trace = complex(arr.trace())
+    if abs(trace - 1.0) > DEFAULT_TOL:
+        raise ValueError(f"density matrix trace is {trace}, expected 1")
+
+
+def _check_lowest_eigenvalue(lowest: float) -> None:
+    if lowest < -DEFAULT_TOL:
+        raise ValueError(f"density matrix has negative eigenvalue {lowest:.3e}")
+
+
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """N x N density matrix: Hermitian, unit trace, positive semidefinite."""
 
     n_paths: int
     entries: np.ndarray
+    # ascending spectrum and eigenvectors (columns) of ``entries``, kept
+    # from the validating decomposition so later steps need no eigensolver
+    _eigenvalues: np.ndarray = field(init=False, repr=False)
+    _eigenvectors: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         arr = _as_square(self.entries, "density matrix")
@@ -44,15 +63,12 @@ class DensityMatrix:
             raise ValueError(
                 f"entries shape {arr.shape} does not match n_paths={self.n_paths}"
             )
-        if np.abs(arr - arr.conj().T).max() > DEFAULT_TOL:
-            raise ValueError("density matrix is not Hermitian within tolerance")
-        trace = complex(np.trace(arr))
-        if abs(trace - 1.0) > DEFAULT_TOL:
-            raise ValueError(f"density matrix trace is {trace}, expected 1")
-        lowest = float(np.linalg.eigvalsh(arr).min())
-        if lowest < -DEFAULT_TOL:
-            raise ValueError(f"density matrix has negative eigenvalue {lowest:.3e}")
+        _check_hermitian_unit_trace(arr)
+        eigenvalues, eigenvectors = np.linalg.eigh(arr)
+        _check_lowest_eigenvalue(float(eigenvalues[0]))
         _freeze(self, "entries", arr)
+        _freeze(self, "_eigenvalues", eigenvalues)
+        _freeze(self, "_eigenvectors", eigenvectors)
 
     @classmethod
     def from_state_vector(cls, amplitudes: object) -> "DensityMatrix":
@@ -119,6 +135,35 @@ def inject_first_path(u1: UnitaryMatrix) -> DensityMatrix:
     return DensityMatrix.from_state_vector(u1.entries[:, 0])
 
 
+def _lueders(rho: DensityMatrix, path: int, tol: float) -> tuple[float, np.ndarray]:
+    """Trigger probability and validated entries of the not-found state.
+
+    The entries pass the checks of ``DensityMatrix`` with its messages.
+    Positivity follows from Cauchy interlacing: zeroing a row and column
+    keeps every eigenvalue at or above ``min(0, lambda_min(rho))``, so the
+    renormalized state's lowest eigenvalue is at least that over
+    ``1 - p``.  The explicit eigenvalue check runs only when that bound
+    leaves less than half of ``DEFAULT_TOL`` for solver rounding.
+    """
+    if not 1 <= path <= rho.n_paths:
+        raise ValueError(f"path {path} out of range 1..{rho.n_paths}")
+    p_trigger = rho.probability(path)
+    if p_trigger >= 1.0 - tol:
+        raise ValueError(
+            "certain detonation: the particle is in the measured path and the "
+            "post-measurement state is undefined"
+        )
+    kept = 1.0 - p_trigger
+    tilde = rho.entries.copy()
+    tilde[path - 1, :] = 0.0
+    tilde[:, path - 1] = 0.0
+    tilde /= kept
+    _check_hermitian_unit_trace(tilde)
+    if rho._eigenvalues[0] < -0.5 * DEFAULT_TOL * kept:
+        _check_lowest_eigenvalue(float(np.linalg.eigvalsh(tilde).min()))
+    return p_trigger, tilde
+
+
 def luders_remove_path(
     rho: DensityMatrix, path: int, tol: float = DEFAULT_TOL
 ) -> tuple[float, DensityMatrix]:
@@ -130,30 +175,18 @@ def luders_remove_path(
     certainly in the path, because the post-measurement state is then
     undefined.
     """
-    if not 1 <= path <= rho.n_paths:
-        raise ValueError(f"path {path} out of range 1..{rho.n_paths}")
-    p_trigger = rho.probability(path)
-    if p_trigger >= 1.0 - tol:
-        raise ValueError(
-            "certain detonation: the particle is in the measured path and the "
-            "post-measurement state is undefined"
-        )
-    keep = np.eye(rho.n_paths, dtype=complex)
-    keep[path - 1, path - 1] = 0.0
-    projected = keep @ rho.entries @ keep
-    return p_trigger, DensityMatrix(rho.n_paths, projected / (1.0 - p_trigger))
+    p_trigger, tilde = _lueders(rho, path, tol)
+    return p_trigger, DensityMatrix(rho.n_paths, tilde)
 
 
-def support_projector(rho: DensityMatrix, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Orthogonal projector onto the eigenvectors of rho with eigenvalue > tol."""
-    eigenvalues, eigenvectors = np.linalg.eigh(rho.entries)
-    keep = eigenvectors[:, eigenvalues > tol]
+def support_projector(rho: DensityMatrix) -> np.ndarray:
+    """Orthogonal projector onto the eigenvectors of rho with eigenvalue
+    above ``DEFAULT_TOL``, the rank cutoff of its validation."""
+    keep = rho._eigenvectors[:, rho._eigenvalues > DEFAULT_TOL]
     return keep @ keep.conj().T
 
 
-def quantum_tradeoff_bounds(
-    rho: DensityMatrix, bomb_path: int, tol: float = DEFAULT_TOL
-) -> tuple[float, float]:
+def quantum_tradeoff_bounds(rho: DensityMatrix, bomb_path: int) -> tuple[float, float]:
     """Lower bounds on the inconclusive probability for a given inside state.
 
     Returns ``(bound_support, bound_pure)`` with
@@ -166,8 +199,7 @@ def quantum_tradeoff_bounds(
     if not 1 <= bomb_path <= rho.n_paths:
         raise ValueError(f"bomb_path {bomb_path} out of range 1..{rho.n_paths}")
     p = rho.probability(bomb_path)
-    projector = support_projector(rho, tol=tol)
-    overlap = float(projector[bomb_path - 1, bomb_path - 1].real)
+    overlap = float(support_projector(rho)[bomb_path - 1, bomb_path - 1].real)
     bound_support = 1.0 - 2.0 * p + p * overlap
     bound_pure = (1.0 - p) ** 2
     return bound_support, bound_pure
@@ -188,29 +220,30 @@ def quantum_ifm(
     after the first transformation.  The inconclusive support set consists
     of the output ports where the particle could emerge with no bomb
     present, i.e. ports whose no-bomb probability exceeds ``support_tol``.
-    The result is flagged ``support_sensitive`` when any nonzero no-bomb
-    port probability falls within ``10 * support_tol`` of zero, since the
-    support set could then depend on the threshold choice.
+    The result is flagged ``support_sensitive`` when a no-bomb port
+    probability above the rounding floor ``N * eps`` falls within
+    ``10 * support_tol`` of zero, since the support set could then depend
+    on the threshold choice.  ``tol`` only decides certain detonation.
     """
     if rho_inside.n_paths != u2.n_paths:
         raise ValueError(
             f"dimension mismatch: state has {rho_inside.n_paths} paths, "
             f"unitary has {u2.n_paths}"
         )
-    p_trigger, rho_tilde = luders_remove_path(rho_inside, bomb_path, tol=tol)
+    p_trigger, rho_tilde = _lueders(rho_inside, bomb_path, tol)
 
     u = u2.entries
-    no_bomb_probs = np.einsum(
-        "sj,jk,sk->s", u, rho_inside.entries, u.conj()
+    # one einsum for both states; a matmul form rounds differently
+    no_bomb_probs, with_bomb_probs = np.einsum(
+        "sj,cjk,sk->cs", u, np.array((rho_inside.entries, rho_tilde)), u.conj()
     ).real
     support = no_bomb_probs > support_tol
-    sensitive = bool(np.any((no_bomb_probs > 0) & (no_bomb_probs < 10 * support_tol)))
-
-    with_bomb_probs = np.einsum("sj,jk,sk->s", u, rho_tilde.entries, u.conj()).real
+    floor = rho_inside.n_paths * _EPS
+    sensitive = any(floor < p < 10 * support_tol for p in no_bomb_probs.tolist())
     p_inconclusive = float((1.0 - p_trigger) * with_bomb_probs[support].sum())
     p_success = 1.0 - p_trigger - p_inconclusive
 
-    bound_support, _ = quantum_tradeoff_bounds(rho_inside, bomb_path, tol=tol)
+    bound_support, _ = quantum_tradeoff_bounds(rho_inside, bomb_path)
     return IFMResult(
         model="quantum",
         n_paths=rho_inside.n_paths,

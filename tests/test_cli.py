@@ -299,9 +299,9 @@ CONSTRUCTION_INVARIANTS = (
 @pytest.mark.parametrize(
     "argv",
     [["sorkin", "--port", str(port)] for port in (1, 2, 3)]
-    + [["ifm", "--model", "quantum", "--n", str(n)] for n in range(2, 8)],
+    + [["ifm", "--model", "quantum", "--n", str(n)] for n in range(2, 9)],
     ids=[f"sorkin-port{port}" for port in (1, 2, 3)]
-    + [f"quantum-n{n}" for n in range(2, 8)],
+    + [f"quantum-n{n}" for n in range(2, 9)],
 )
 def test_tight_tolerance_keeps_the_default_output(capsys, argv):
     _, expected, _ = run_cli(capsys, *argv)
