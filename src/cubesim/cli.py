@@ -103,7 +103,8 @@ def _json_dump(payload: object) -> str:
 
 
 def _multiport_json(transform: multiport.MultiportMatrix) -> Iterator[str]:
-    """``_json_dump(transform.to_json_dict())`` in chunks, one matrix row each.
+    """``_json_dump`` of the multiport's ``n_paths``, ``basis_order`` and
+    ``matrix`` (rows of ``[re, im]`` pairs) in chunks, one matrix row each.
 
     A multiport holds few distinct floats (3702 of 1.85M at N = 32), so
     each distinct bit pattern is formatted once; deduplicating on bits,

@@ -11,7 +11,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .cubes import basis_cube, dephase, luders_update_cube, measure_path_prob
+from .cubes import basis_cube, luders_update_cube, measure_path_prob
 from .multiport import (
     MultiportMatrix,
     apply_transform,
@@ -37,17 +37,18 @@ def run_cube_ifm(n_paths: int, tol: float = DEFAULT_TOL) -> IFMResult:
     """Perfect interaction-free measurement in the cube model.
 
     Pipeline: inject the particle into path 1, apply the assembled
-    multiport (preceded by dephasing, a no-op on these cubes), read the
-    bomb-path population, apply the not-found update, apply the multiport
-    again and read the population of port 1 -- the only port the particle
-    can reach with no bomb present, which is asserted at runtime by
-    checking that the no-bomb output cube is exactly the path-1 cube.
+    multiport, read the bomb-path population, apply the not-found update,
+    apply the multiport again and read the population of port 1 -- the
+    only port the particle can reach with no bomb present, which is
+    asserted at runtime by checking that the no-bomb output cube is
+    exactly the path-1 cube.  None of these cubes carries two-path
+    coherence, which ``apply_transform`` checks.
     """
     transform = assemble_multiport(n_paths)
     injected = basis_cube(n_paths, 1)
-    inside = apply_transform(transform, dephase(injected), tol=tol)
+    inside = apply_transform(transform, injected, tol=tol)
 
-    no_bomb = apply_transform(transform, dephase(inside), tol=tol)
+    no_bomb = apply_transform(transform, inside, tol=tol)
     gap = float(np.abs(no_bomb.entries - injected.entries).max())
     if gap > tol:
         raise ValueError(
@@ -57,7 +58,7 @@ def run_cube_ifm(n_paths: int, tol: float = DEFAULT_TOL) -> IFMResult:
 
     p_trigger = measure_path_prob(inside, 1, tol=tol)
     updated = luders_update_cube(inside, 1, found=False, tol=tol)
-    out = apply_transform(transform, dephase(updated), tol=tol)
+    out = apply_transform(transform, updated, tol=tol)
     p_inconclusive = (1.0 - p_trigger) * measure_path_prob(out, 1, tol=tol)
     p_success = 1.0 - p_trigger - p_inconclusive
 

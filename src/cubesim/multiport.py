@@ -88,20 +88,17 @@ class PhaseMatrix:
             raise ValueError(
                 f"phase matrix for N={n} must have shape {(rows, n)}, got {arr.shape}"
             )
-        if np.abs(np.abs(arr) - 1.0).max() > DEFAULT_TOL:
+        # written as ``not (value <= bound)`` so that a NaN fails
+        if not np.abs(np.abs(arr) - 1.0).max() <= DEFAULT_TOL:
             raise ValueError("phase matrix entries must have unit modulus")
         gram = 2.0 * np.real(arr.conj().T @ arr)
         off = gram - np.diag(np.diag(gram))
         target = (2.0 - n) * (np.ones((n, n)) - np.eye(n))
-        if np.abs(off - target).max() > MATRIX_TOL:
+        if not np.abs(off - target).max() <= MATRIX_TOL:
             raise ValueError(
                 "phase-vector overlaps do not satisfy the fixed-overlap condition"
             )
         _freeze(self, "matrix", arr)
-
-    @property
-    def pairs(self) -> list[tuple[int, int]]:
-        return coherence_pairs(self.n_paths)
 
 
 def build_phase_matrix(n_paths: int) -> PhaseMatrix:
@@ -163,15 +160,6 @@ class SubBasis:
         stack = _scatter(np.eye(self.dim, dtype=complex), self)
         stack.setflags(write=False)
         return stack
-
-    def conjugate_partner(self, index: int) -> int:
-        """Involutive index map pairing each coherence cube with its conjugate."""
-        n, p = self.n_paths, self.n_pairs
-        if index < n:
-            return index
-        if index < n + p:
-            return index + p
-        return index - p
 
     def hermitian_coord_violation(self, coords: np.ndarray) -> float:
         """Largest deviation of a coordinate vector from representing a
@@ -312,33 +300,14 @@ class MultiportMatrix:
         _freeze(self, "matrix", arr)
 
     @property
-    def block_a(self) -> np.ndarray:
-        n = self.n_paths
-        return self.matrix[:n, :n]
-
-    @property
     def block_b(self) -> np.ndarray:
         n = self.n_paths
         return self.matrix[n:, :n]
 
     @property
-    def block_c(self) -> np.ndarray:
-        n = self.n_paths
-        return self.matrix[:n, n:]
-
-    @property
     def block_d(self) -> np.ndarray:
         n = self.n_paths
         return self.matrix[n:, n:]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n_paths": self.n_paths,
-            "basis_order": list(self.basis.labels),
-            "matrix": [
-                [[value.real, value.imag] for value in row] for row in self.matrix
-            ],
-        }
 
 
 def t3_matrix() -> MultiportMatrix:

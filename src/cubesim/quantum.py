@@ -10,7 +10,6 @@ measurement together with the quantum trade-off lower bound.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
 
 import numpy as np
 
@@ -33,16 +32,19 @@ def _as_square(entries: object, what: str) -> np.ndarray:
     return arr
 
 
+# The checks below are written as ``not (value <= bound)`` so that a NaN
+# fails them.
+
 def _check_hermitian_unit_trace(arr: np.ndarray) -> None:
-    if np.abs(arr - arr.conj().T).max() > DEFAULT_TOL:
+    if not np.abs(arr - arr.conj().T).max() <= DEFAULT_TOL:
         raise ValueError("density matrix is not Hermitian within tolerance")
     trace = complex(arr.trace())
-    if abs(trace - 1.0) > DEFAULT_TOL:
+    if not abs(trace - 1.0) <= DEFAULT_TOL:
         raise ValueError(f"density matrix trace is {trace}, expected 1")
 
 
 def _check_lowest_eigenvalue(lowest: float) -> None:
-    if lowest < -DEFAULT_TOL:
+    if not lowest >= -DEFAULT_TOL:
         raise ValueError(f"density matrix has negative eigenvalue {lowest:.3e}")
 
 
@@ -115,7 +117,7 @@ class UnitaryMatrix:
                 f"entries shape {arr.shape} does not match n_paths={self.n_paths}"
             )
         residual = np.abs(arr @ arr.conj().T - np.eye(self.n_paths)).max()
-        if residual > DEFAULT_TOL:
+        if not residual <= DEFAULT_TOL:
             raise ValueError(f"matrix is not unitary: residual {residual:.3e}")
         _freeze(self, "entries", arr)
 
@@ -281,32 +283,3 @@ def random_unitary(n_paths: int, rng: np.random.Generator) -> UnitaryMatrix:
     q, r = np.linalg.qr(z)
     phases = np.diag(r) / np.abs(np.diag(r))
     return UnitaryMatrix(n_paths, q * phases.conj())
-
-
-# ---------------------------------------------------------------------------
-# Serialization: row-major arrays of [re, im] pairs.
-
-def matrix_to_json_dict(matrix: DensityMatrix | UnitaryMatrix) -> dict:
-    entries = [
-        [[value.real, value.imag] for value in row] for row in matrix.entries
-    ]
-    return {"n_paths": matrix.n_paths, "entries": entries}
-
-
-def _entries_from_json(data: Mapping) -> tuple[int, np.ndarray]:
-    n_paths = int(data["n_paths"])
-    arr = np.array(
-        [[complex(re, im) for re, im in row] for row in data["entries"]],
-        dtype=complex,
-    )
-    return n_paths, arr
-
-
-def density_matrix_from_json_dict(data: Mapping) -> DensityMatrix:
-    n_paths, arr = _entries_from_json(data)
-    return DensityMatrix(n_paths, arr)
-
-
-def unitary_from_json_dict(data: Mapping) -> UnitaryMatrix:
-    n_paths, arr = _entries_from_json(data)
-    return UnitaryMatrix(n_paths, arr)

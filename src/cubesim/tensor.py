@@ -8,14 +8,14 @@ indices carry ordinary two-path coherence (and are forced real by the
 symmetry), and entries with three distinct indices carry genuine three-path
 coherence, which no density matrix can represent.
 
-Semantic indices are 1-based throughout the public API and in serialized
-output; the storage layout is an internal detail.
+Semantic indices are 1-based throughout the public API; the storage
+layout is an internal detail.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -61,18 +61,14 @@ def hermiticity_violation(tensor: object) -> float:
     For every transposition of two index slots the entry must equal the
     complex conjugate of the original entry; the return value is the
     maximum absolute mismatch over all entries and all three
-    transpositions (0.0 for an exactly Hermitian tensor).
+    transpositions (0.0 for an exactly Hermitian tensor, NaN when an entry
+    is not finite).
     """
     arr = _as_cube_array(tensor)
-    worst = 0.0
-    for axes in _TRANSPOSITIONS:
-        worst = max(worst, float(np.abs(arr - np.conj(arr.transpose(axes))).max()))
-    return worst
-
-
-def is_hermitian(tensor: object, tol: float = DEFAULT_TOL) -> bool:
-    """True iff every transposition-related entry pair is conjugate within tol."""
-    return hermiticity_violation(tensor) <= tol
+    # numpy's max, unlike the builtin, propagates a NaN
+    return float(
+        np.max([np.abs(arr - np.conj(arr.transpose(axes))).max() for axes in _TRANSPOSITIONS])
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,6 +91,8 @@ class HermitianCube:
     Every invariant is checked with the fixed slack ``DEFAULT_TOL``, which
     absorbs rounding in the constructions; the ``tol`` arguments of the
     operations on cubes are comparison thresholds and do not change it.
+    The checks are written as ``not (value <= bound)`` so that a NaN
+    fails them.
     """
 
     n_paths: int
@@ -110,19 +108,19 @@ class HermitianCube:
                 f"entries shape {arr.shape} does not match n_paths={self.n_paths}"
             )
         violation = hermiticity_violation(arr)
-        if violation > DEFAULT_TOL:
+        if not violation <= DEFAULT_TOL:
             raise ValueError(
                 f"tensor is not Hermitian: max conjugation mismatch {violation:.3e}"
             )
         if self.is_state:
             diag = np.einsum("jjj->j", arr)
             total = float(diag.real.sum())
-            if abs(total - 1.0) > DEFAULT_TOL:
+            if not abs(total - 1.0) <= DEFAULT_TOL:
                 raise ValueError(f"state cube diagonal sums to {total}, expected 1")
-            if diag.real.min() < -DEFAULT_TOL or diag.real.max() > 1.0 + DEFAULT_TOL:
+            if not -DEFAULT_TOL <= diag.real.min() <= diag.real.max() <= 1.0 + DEFAULT_TOL:
                 raise ValueError("state cube diagonal entries must lie in [0, 1]")
             pur = float(np.vdot(arr, arr).real)
-            if pur > 1.0 + DEFAULT_TOL:
+            if not pur <= 1.0 + DEFAULT_TOL:
                 raise ValueError(f"state cube purity {pur} exceeds 1")
         _freeze(self, "entries", arr)
 
@@ -164,14 +162,6 @@ def cube_inner(m: HermitianCube, c: HermitianCube, tol: float = DEFAULT_TOL) -> 
     return raw.real
 
 
-def canonical_triples(n_paths: int) -> Iterator[tuple[int, int, int]]:
-    """All 1-based index triples with j <= k <= l, in lexicographic order."""
-    for j in range(1, n_paths + 1):
-        for k in range(j, n_paths + 1):
-            for l in range(k, n_paths + 1):
-                yield (j, k, l)
-
-
 def hermitian_complete(
     canonical: Mapping[tuple[int, int, int], complex],
     n_paths: int,
@@ -205,44 +195,3 @@ def hermitian_complete(
             pos = (base[perm[0]], base[perm[1]], base[perm[2]])
             entries[pos] = value if sign > 0 else np.conj(value)
     return HermitianCube(n_paths, entries, is_state=is_state)
-
-
-def extract_canonical(cube: HermitianCube) -> dict[tuple[int, int, int], complex]:
-    """Canonical-triple values of a cube, omitting exact zeros.
-
-    Inverse of :func:`hermitian_complete` up to the dropped zeros:
-    ``hermitian_complete(extract_canonical(c), c.n_paths)`` reproduces
-    ``c`` entrywise.
-    """
-    out: dict[tuple[int, int, int], complex] = {}
-    for j, k, l in canonical_triples(cube.n_paths):
-        value = complex(cube.entries[j - 1, k - 1, l - 1])
-        if value != 0:
-            out[(j, k, l)] = value
-    return out
-
-
-def cube_to_json_dict(cube: HermitianCube) -> dict:
-    """JSON-ready form listing canonical triples only.
-
-    Layout: ``{"n_paths": N, "entries": [{"j", "k", "l", "re", "im"}, ...]}``
-    with entries in lexicographic canonical order.  Values round-trip at
-    full double precision.
-    """
-    records = [
-        {"j": j, "k": k, "l": l, "re": value.real, "im": value.imag}
-        for (j, k, l), value in sorted(extract_canonical(cube).items())
-    ]
-    return {"n_paths": cube.n_paths, "entries": records}
-
-
-def cube_from_json_dict(data: Mapping, *, is_state: bool = False) -> HermitianCube:
-    """Load a cube from its canonical-triple JSON form via Hermitian completion."""
-    n_paths = int(data["n_paths"])
-    canonical = {
-        (int(rec["j"]), int(rec["k"]), int(rec["l"])): complex(
-            float(rec["re"]), float(rec["im"])
-        )
-        for rec in data["entries"]
-    }
-    return hermitian_complete(canonical, n_paths, is_state=is_state)

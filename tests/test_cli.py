@@ -14,6 +14,16 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def multiport_json_dict(t: MultiportMatrix) -> dict:
+    """Oracle for ``dump-matrix``: the multiport as a plain dict whose
+    ``json.dumps(..., sort_keys=True, indent=2)`` is the expected output."""
+    return {
+        "n_paths": t.n_paths,
+        "basis_order": list(t.basis.labels),
+        "matrix": [[[value.real, value.imag] for value in row] for row in t.matrix],
+    }
+
+
 # --- ifm ----------------------------------------------------------------------
 
 def test_ifm_cube_three_paths_json(capsys):
@@ -24,6 +34,35 @@ def test_ifm_cube_three_paths_json(capsys):
     assert payload["p_inconclusive"] == 0.5
     assert payload["p_success"] == 0.5
     assert payload["bound"] == 0.5
+
+
+CUBE_IFM_JSON = """{
+  "bound": %s,
+  "label": "cube_multiport_%d",
+  "model": "cube",
+  "n_paths": %d,
+  "p_inconclusive": %s,
+  "p_success": %s,
+  "p_trigger": 0.0,
+  "support_sensitive": false
+}
+"""
+
+
+# float spellings as printed; at N = 32 p_inconclusive is one ulp above the bound
+@pytest.mark.parametrize(
+    "n, bound, p_inconclusive, p_success",
+    [
+        (3, "0.5", "0.5", "0.5"),
+        (4, "0.3333333333333333", "0.3333333333333333", "0.6666666666666667"),
+        (12, "0.09090909090909091", "0.09090909090909091", "0.9090909090909091"),
+        (32, "0.03225806451612903", "0.03225806451612904", "0.967741935483871"),
+    ],
+)
+def test_ifm_cube_json_bytes_are_pinned(capsys, n, bound, p_inconclusive, p_success):
+    code, out, err = run_cli(capsys, "ifm", "--model", "cube", "--n", str(n))
+    assert (code, err) == (0, "")
+    assert out == CUBE_IFM_JSON % (bound, n, n, p_inconclusive, p_success)
 
 
 def test_ifm_quantum_fourier(capsys):
@@ -146,7 +185,7 @@ def test_dump_matrix(capsys):
 @pytest.mark.parametrize("n", [3, 4, 5, 8, 32])
 def test_dump_matrix_bytes_match_json_dumps(capsys, tmp_path, n):
     expected = json.dumps(
-        assemble_multiport(n).to_json_dict(), sort_keys=True, indent=2
+        multiport_json_dict(assemble_multiport(n)), sort_keys=True, indent=2
     ) + "\n"
     code, out, _ = run_cli(capsys, "dump-matrix", "--n", str(n))
     assert code == 0
@@ -163,7 +202,7 @@ def test_multiport_json_keeps_every_float_spelling():
     values = [0.0, -0.0, 1.0, 5e-324, 1 / 3, -1 / 3, -5e-324, 1e300]
     matrix = np.resize(values, 50).view(complex).reshape(5, 5)
     t = MultiportMatrix(3, matrix, sub_basis(3))
-    expected = json.dumps(t.to_json_dict(), sort_keys=True, indent=2)
+    expected = json.dumps(multiport_json_dict(t), sort_keys=True, indent=2)
     assert "".join(_multiport_json(t)) == expected
     assert "-0.0" in expected and "5e-324" in expected
 

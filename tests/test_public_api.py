@@ -1,0 +1,41 @@
+"""The documented surface: the export list and README's tour."""
+
+import ast
+import re
+from pathlib import Path
+
+import pytest
+
+import cubesim
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_export_list_resolves_without_duplicates():
+    assert len(cubesim.__all__) == len(set(cubesim.__all__))
+    for name in cubesim.__all__:
+        assert hasattr(cubesim, name), name
+
+
+def tour_values() -> list[object]:
+    """Run README's "A short tour" block; return its bare expressions' values."""
+    text = README.read_text()
+    block = re.search(r"A short tour:\s*```python\n(.*?)```", text, re.S).group(1)
+    namespace: dict[str, object] = {}
+    values = []
+    for statement in ast.parse(block).body:
+        if isinstance(statement, ast.Expr):
+            code = compile(ast.Expression(statement.value), README.name, "eval")
+            values.append(eval(code, namespace))
+        else:
+            exec(compile(ast.Module([statement], []), README.name, "exec"), namespace)
+    return values
+
+
+def test_readme_tour_gives_the_commented_values():
+    p_found, p_inconclusive, bomb_tester, sorkin = tour_values()
+    assert p_found == 0.0
+    assert p_inconclusive == pytest.approx(0.25, abs=1e-12)
+    outcome = (bomb_tester.p_trigger, bomb_tester.p_inconclusive, bomb_tester.p_success)
+    assert outcome == pytest.approx((0.5, 0.25, 0.25), abs=1e-12)
+    assert sorkin == pytest.approx(0.5, abs=1e-12)

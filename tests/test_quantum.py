@@ -8,18 +8,15 @@ from cubesim.quantum import (
     SUPPORT_TOL,
     DensityMatrix,
     UnitaryMatrix,
-    density_matrix_from_json_dict,
     fourier_unitary,
     inject_first_path,
     luders_remove_path,
-    matrix_to_json_dict,
     quantum_ifm,
     quantum_tradeoff_bounds,
     random_density_matrix,
     random_pure_state,
     random_unitary,
     support_projector,
-    unitary_from_json_dict,
 )
 from cubesim.experiments import fourier_preset
 from cubesim.tensor import DEFAULT_TOL
@@ -48,6 +45,15 @@ def test_validation_rejects_bad_density_matrices():
 def test_validation_rejects_non_unitary():
     with pytest.raises(ValueError, match="unitary"):
         UnitaryMatrix(2, np.array([[1.0, 0.0], [0.0, 0.5]], dtype=complex))
+
+
+def test_nan_unitary_fails_at_construction_not_in_the_bound_check():
+    # NaN port probabilities would fall out of the support set and surface
+    # as a spurious "violates the lower bound" instead
+    with pytest.raises(ValueError, match="not unitary: residual nan"):
+        quantum_ifm(
+            DensityMatrix.maximally_mixed(2), UnitaryMatrix(2, np.full((2, 2), np.nan)), 1
+        )
 
 
 def test_fourier_two_paths_is_balanced():
@@ -256,21 +262,12 @@ def test_random_trials_respect_tradeoff(rng):
             )
 
 
-# --- sampling and serialization ----------------------------------------------
+# --- sampling ----------------------------------------------------------------
 
 def test_random_unitary_with_fixed_seed_is_reproducible():
     a = random_unitary(4, np.random.default_rng(11)).entries
     b = random_unitary(4, np.random.default_rng(11)).entries
     np.testing.assert_array_equal(a, b)
-
-
-def test_matrix_json_round_trip(rng):
-    rho = random_density_matrix(3, rng)
-    loaded = density_matrix_from_json_dict(matrix_to_json_dict(rho))
-    np.testing.assert_array_equal(loaded.entries, rho.entries)
-    u = random_unitary(3, rng)
-    loaded_u = unitary_from_json_dict(matrix_to_json_dict(u))
-    np.testing.assert_array_equal(loaded_u.entries, u.entries)
 
 
 # --- reference composition ------------------------------------------------------

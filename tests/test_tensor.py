@@ -1,22 +1,19 @@
-import json
 import math
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cubesim.multiport import PhaseMatrix, build_phase_matrix
+from cubesim.quantum import DensityMatrix, UnitaryMatrix, fourier_unitary
 from cubesim.tensor import (
+    DEFAULT_TOL,
     HermitianCube,
-    canonical_triples,
-    cube_from_json_dict,
     cube_inner,
-    cube_to_json_dict,
-    extract_canonical,
     hermitian_complete,
     hermiticity_violation,
-    is_hermitian,
 )
 
 SQRT3 = math.sqrt(3.0)
@@ -91,14 +88,14 @@ def test_inner_imaginary_residue_rejected():
 # --- hermiticity predicate --------------------------------------------------
 
 def test_unit_cube_is_hermitian():
-    assert is_hermitian(unit_cube(1).entries)
+    assert hermiticity_violation(unit_cube(1).entries) <= DEFAULT_TOL
 
 
 def test_broken_conjugation_detected():
     bad = np.zeros((3, 3, 3), dtype=complex)
     bad[0, 1, 2] = 1j
     bad[1, 0, 2] = 1j  # must be -1j
-    assert not is_hermitian(bad)
+    assert not hermiticity_violation(bad) <= DEFAULT_TOL
     assert hermiticity_violation(bad) == pytest.approx(2.0)
 
 
@@ -106,7 +103,7 @@ def test_reference_four_path_cubes_are_hermitian():
     from cubesim.multiport import reference_optimal_cubes_n4
 
     for cube in reference_optimal_cubes_n4():
-        assert is_hermitian(cube.entries)
+        assert hermiticity_violation(cube.entries) <= DEFAULT_TOL
 
 
 # --- completion -------------------------------------------------------------
@@ -195,6 +192,42 @@ def test_entries_are_frozen():
         cube.entries[0, 0, 0] = 2.0
 
 
+# A NaN compares false against every bound, so each validated value type must
+# reject it explicitly; one NaN entry and an all-NaN array are both tried.
+NAN_CONSTRUCTORS = {
+    "HermitianCube": (
+        lambda: interferometer_cube().entries,
+        lambda arr: HermitianCube(3, arr, is_state=True),
+    ),
+    "DensityMatrix": (
+        lambda: DensityMatrix.maximally_mixed(2).entries,
+        lambda arr: DensityMatrix(2, arr),
+    ),
+    "UnitaryMatrix": (
+        lambda: fourier_unitary(2).entries,
+        lambda arr: UnitaryMatrix(2, arr),
+    ),
+    "PhaseMatrix": (
+        lambda: build_phase_matrix(4).matrix,
+        lambda arr: PhaseMatrix(4, arr),
+    ),
+}
+
+
+@pytest.mark.parametrize("everywhere", [False, True], ids=["one-entry", "all-entries"])
+@pytest.mark.parametrize("name", sorted(NAN_CONSTRUCTORS))
+def test_constructors_reject_nan(name, everywhere):
+    valid, construct = NAN_CONSTRUCTORS[name]
+    arr = np.array(valid())
+    construct(arr)
+    if everywhere:
+        arr[...] = np.nan
+    else:
+        arr.flat[1] = np.nan
+    with pytest.raises(ValueError):
+        construct(arr)
+
+
 # --- property tests ---------------------------------------------------------
 
 reals = st.floats(-1.0, 1.0, allow_nan=False)
@@ -204,7 +237,7 @@ reals = st.floats(-1.0, 1.0, allow_nan=False)
 def canonical_maps(draw, n_max=4):
     n = draw(st.integers(3, n_max))
     canonical = {}
-    for triple in canonical_triples(n):
+    for triple in combinations_with_replacement(range(1, n + 1), 3):
         if not draw(st.booleans()):
             continue
         if len(set(triple)) < 3:
@@ -216,18 +249,9 @@ def canonical_maps(draw, n_max=4):
 
 @given(canonical_maps())
 @settings(max_examples=60, deadline=None)
-def test_round_trip_complete_extract(case):
-    n, canonical = case
-    cube = hermitian_complete(canonical, n)
-    rebuilt = hermitian_complete(extract_canonical(cube), n)
-    np.testing.assert_allclose(rebuilt.entries, cube.entries, atol=0)
-
-
-@given(canonical_maps())
-@settings(max_examples=60, deadline=None)
 def test_completion_always_hermitian(case):
     n, canonical = case
-    assert is_hermitian(hermitian_complete(canonical, n).entries, tol=1e-14)
+    assert hermiticity_violation(hermitian_complete(canonical, n).entries) <= 1e-14
 
 
 @given(canonical_maps(), canonical_maps())
@@ -256,28 +280,7 @@ def test_inner_symmetric_and_bilinear(case_a, case_b, alpha, beta):
     assert cube_inner(combo, a) == pytest.approx(target, abs=1e-9)
 
 
-# --- serialization ----------------------------------------------------------
-
-def test_json_round_trip_full_precision(rng):
-    canonical = {
-        (1, 1, 1): 0.3,
-        (2, 2, 2): 0.7,
-        (1, 2, 3): complex(rng.standard_normal(), rng.standard_normal()) / 10,
-        (1, 1, 2): 0.1,
-    }
-    cube = hermitian_complete(canonical, 3)
-    payload = json.loads(json.dumps(cube_to_json_dict(cube)))
-    loaded = cube_from_json_dict(payload)
-    np.testing.assert_array_equal(loaded.entries, cube.entries)
-
-
-def test_json_layout_lists_canonical_triples_only():
-    data = cube_to_json_dict(interferometer_cube())
-    assert data["n_paths"] == 3
-    triples = [(rec["j"], rec["k"], rec["l"]) for rec in data["entries"]]
-    assert triples == [(1, 2, 3), (2, 2, 2), (3, 3, 3)]
-    assert all(j <= k <= l for j, k, l in triples)
-
+# --- accessors ----------------------------------------------------------------
 
 def test_entry_accessor_is_one_based():
     cube = interferometer_cube()
@@ -292,12 +295,3 @@ def test_entry_accessor_is_one_based():
 def test_empty_canonical_map_yields_zero_cube():
     cube = hermitian_complete({}, 3)
     assert np.abs(cube.entries).max() == 0.0
-
-
-def test_json_loader_can_validate_state_cubes():
-    payload = cube_to_json_dict(interferometer_cube())
-    loaded = cube_from_json_dict(payload, is_state=True)
-    assert loaded.is_state
-    bad = {"n_paths": 2, "entries": [{"j": 1, "k": 1, "l": 1, "re": 0.4, "im": 0.0}]}
-    with pytest.raises(ValueError, match="sums to"):
-        cube_from_json_dict(bad, is_state=True)
