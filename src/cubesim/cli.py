@@ -378,7 +378,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     reports = []
     for n in args.n:
         transform = multiport.assemble_multiport(n, tol=tol)
-        reports.append(multiport.verify_multiport(transform, tol=tol))
+        reports.append(multiport.verify_multiport(transform))
     rows = [
         {
             "n_paths": r.n_paths,

@@ -182,7 +182,7 @@ def test_basis_conjugate_pairing_is_involution():
     # coherence cube n + i and its conjugate n + p + i swap under an index
     # transposition with conjugation; path cubes are their own partners
     basis = sub_basis(4)
-    n, p = basis.n_paths, basis.n_pairs
+    n, p = basis.n_paths, (basis.n_paths - 1) * (basis.n_paths - 2) // 2
     partner = list(range(n)) + [n + p + i for i in range(p)] + [n + i for i in range(p)]
     for i in range(basis.dim):
         assert partner[partner[i]] == i
@@ -530,19 +530,67 @@ def test_verify_tabulated_three_path():
     assert report.passes(1e-12)
 
 
-def test_verify_assembled_six_path():
-    report = verify_multiport(assemble_multiport(6))
-    assert report.worst() < 1e-9
+@pytest.mark.parametrize("n", range(3, 33))
+def test_verify_assembled_multiport(n):
+    report = verify_multiport(assemble_multiport(n))
+    assert report.worst() <= 1e-12
     assert report.passes()
 
 
-def test_verify_detects_corruption():
+def corrupted_three_path_multiport(entries=((0, 1, 1e-3),)):
     t = assemble_multiport(3)
     corrupted = np.array(t.matrix)
-    corrupted[0, 1] += 1e-3
-    report = verify_multiport(replace(t, matrix=corrupted))
+    for row, column, shift in entries:
+        corrupted[row, column] += shift
+    return replace(t, matrix=corrupted)
+
+
+def test_verify_detects_corruption():
+    report = verify_multiport(corrupted_three_path_multiport())
     assert report.involution_residual >= 1e-4
+    assert report.diagonal_sum_drift >= 1e-4
     assert not report.passes()
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: assemble_multiport(3),
+        lambda: assemble_multiport(6),
+        t3_matrix,
+        lambda: alternative_multiport_n4(1),
+        lambda: alternative_multiport_n4(2),
+        corrupted_three_path_multiport,
+        # keeps the pairing, but lets coherence 2_3 feed path 1's population
+        lambda: corrupted_three_path_multiport(((0, 3, 1e-3j), (0, 4, -1e-3j))),
+    ],
+    ids=[
+        "assembled-3",
+        "assembled-6",
+        "t3",
+        "alternative-1",
+        "alternative-2",
+        "corrupted",
+        "corrupted-coherence-weight",
+    ],
+)
+def test_verify_identities_match_images_of_hermitian_vectors(make, rng):
+    # the oracle: apply M to Hermitian coordinate vectors (real populations,
+    # conjugate-paired coherences) and inspect the images directly
+    t = make()
+    n, d = t.n_paths, t.basis.dim
+    p = (d - n) // 2
+    coherences = rng.normal(size=(20, p)) + 1j * rng.normal(size=(20, p))
+    vectors = np.hstack([rng.normal(size=(20, n)), coherences, coherences.conj()])
+    images = vectors @ t.matrix.T
+    pairing = max(
+        np.abs(images[:, :n].imag).max(),
+        np.abs(images[:, n : n + p] - images[:, n + p :].conj()).max(),
+    )
+    drift = np.abs(images[:, :n].sum(axis=1) - vectors[:, :n].sum(axis=1)).max()
+    report = verify_multiport(t)
+    assert (pairing > 1e-12) == (report.pairing_violation > 1e-12)
+    assert (drift > 1e-12) == (report.diagonal_sum_drift > 1e-12)
 
 
 @pytest.mark.parametrize("n", [3, 6])
@@ -570,6 +618,17 @@ def test_alternative_closing_blocks():
     assert not np.allclose(d2, d3)
     with pytest.raises(ValueError, match="variant"):
         alternative_multiport_n4(3)
+
+
+@pytest.mark.parametrize("variant", [1, 2])
+def test_alternative_closing_blocks_break_the_multiport_contract(variant):
+    # self-adjoint involutions, but they break the Hermiticity pairing and
+    # have the eigenvalue -1 outside the admissible set {1, 1/3}
+    report = verify_multiport(alternative_multiport_n4(variant))
+    assert report.involution_residual <= 1e-12
+    assert report.adjoint_residual <= 1e-12
+    assert report.pairing_violation > 0.1
+    assert report.d_spectrum_deviation > 0.1
 
 
 def test_assembly_gate_rejects_nan_matrices(monkeypatch):
