@@ -3,10 +3,8 @@ interferometers, under standard quantum mechanics and under the
 density-cube model with genuine three-path coherence."""
 
 from .cubes import (
-    PhaseFunction,
     basis_cube,
     basis_cubes,
-    default_phase_function,
     dephase,
     luders_update_cube,
     measure_path_prob,
@@ -68,7 +66,6 @@ __all__ = [
     "IFMResult",
     "MultiportMatrix",
     "MultiportReport",
-    "PhaseFunction",
     "PhaseMatrix",
     "SubBasis",
     "UnitaryMatrix",
@@ -79,7 +76,6 @@ __all__ = [
     "build_phase_matrix",
     "cube_inner",
     "cube_tradeoff_bound",
-    "default_phase_function",
     "dephase",
     "fourier_unitary",
     "from_coords",

@@ -11,8 +11,8 @@ dump-matrix  serialize an assembled multiport as JSON
 
 Results go to stdout or ``--out``.  Exit codes: 0 success, 1 computation
 failure or failed checks, 2 usage error.  ``ifm`` and ``sorkin`` take a
-comparison tolerance from ``--tol``, else from the environment variable
-``CUBESIM_TOL``, else 1e-10; it never changes the fixed slack of the
+comparison tolerance in (0, 1) from ``--tol``, else from the environment
+variable ``CUBESIM_TOL``, else 1e-10; it never changes the fixed slack of the
 construction-time invariant checks.
 """
 
@@ -25,7 +25,7 @@ import os
 import sys
 from collections.abc import Iterable, Iterator
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -72,17 +72,24 @@ def _parse_single_n(text: str) -> int:
     return values[0]
 
 
-def _above(convert, bound):
-    """Argument type: ``convert(text)``, which must exceed ``bound``."""
+def _above(convert, bound, below=None):
+    """Argument type: ``convert(text)``, which must exceed ``bound`` and,
+    if given, stay under ``below``."""
 
     def parse(text: str):
         value = convert(text)
-        if not value > bound:
-            raise argparse.ArgumentTypeError(f"must exceed {bound}, got {text}")
+        if not (value > bound and (below is None or value < below)):
+            limit = "" if below is None else f" and be below {below}"
+            raise argparse.ArgumentTypeError(f"must exceed {bound}{limit}, got {text}")
         return value
 
     parse.__name__ = convert.__name__  # names the type in parse errors
     return parse
+
+
+#: ``--tol`` and ``CUBESIM_TOL``: at 1 or above, the certain-detonation
+#: guards ``p >= 1 - tol`` would fire for every probability, even 0.
+_tolerance = _above(float, 0, below=1)
 
 
 def _emit(text: str | Iterable[str], out: str | None) -> None:
@@ -291,18 +298,7 @@ def reference_checks(corrupt: bool = False) -> list[Check]:
 
 def _format_checks(checks: list[Check], fmt: str) -> str:
     if fmt == "json":
-        return _json_dump(
-            [
-                {
-                    "name": c.name,
-                    "computed": c.computed,
-                    "expected": c.expected,
-                    "tolerance": c.tolerance,
-                    "passed": c.passed,
-                }
-                for c in checks
-            ]
-        )
+        return _json_dump([{**asdict(c), "passed": c.passed} for c in checks])
     width = max(len(c.name) for c in checks)
     lines = []
     for c in checks:
@@ -379,19 +375,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     for n in args.n:
         transform = multiport.assemble_multiport(n, tol=tol)
         reports.append(multiport.verify_multiport(transform))
-    rows = [
-        {
-            "n_paths": r.n_paths,
-            "adjoint_residual": r.adjoint_residual,
-            "involution_residual": r.involution_residual,
-            "pairing_violation": r.pairing_violation,
-            "diagonal_sum_drift": r.diagonal_sum_drift,
-            "d_spectrum_deviation": r.d_spectrum_deviation,
-            "bb_spectrum_deviation": r.bb_spectrum_deviation,
-            "passed": r.passes(tol),
-        }
-        for r in reports
-    ]
+    rows = [{**asdict(r), "passed": r.passes(tol)} for r in reports]
     if args.output_format == "json":
         _emit(_json_dump(rows), args.out)
     else:
@@ -430,7 +414,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ) -> None:
         """Add the shared flags a subcommand honours; ``formats[0]`` is the default."""
         if tol:
-            p.add_argument("--tol", type=_above(float, 0), default=None, help="comparison tolerance")
+            p.add_argument("--tol", type=_tolerance, default=None, help="comparison tolerance")
         p.add_argument("--format", choices=formats, default=formats[0], dest="output_format")
         p.add_argument("--out", default=None, help="write output to this file")
 
@@ -492,12 +476,15 @@ def main(argv: list[str] | None = None) -> int:
         env_tol = os.environ.get("CUBESIM_TOL")
         if env_tol is not None:
             try:
-                args.tol = float(env_tol)
+                args.tol = _tolerance(env_tol)
             except ValueError:
                 print(f"error: CUBESIM_TOL={env_tol!r} is not a number", file=sys.stderr)
                 return 2
-            if not args.tol > 0:
-                print(f"error: CUBESIM_TOL={env_tol!r} must be positive", file=sys.stderr)
+            except argparse.ArgumentTypeError:
+                print(
+                    f"error: CUBESIM_TOL={env_tol!r} must be positive and below 1",
+                    file=sys.stderr,
+                )
                 return 2
 
     try:

@@ -10,17 +10,11 @@ carrying that path's index and renormalizes (not found).
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
-from .multiport import cell_masks, coherence_pairs, fourier_row_exponents
+from .multiport import _SQRT3, _blocks, cell_masks, coherence_pairs
 from .quantum import DensityMatrix
-from .tensor import DEFAULT_TOL, HermitianCube, cube_inner, hermitian_complete
-
-#: Assigns the root-of-unity exponent f(gamma, j, k) in {1..N} to the
-#: three-path coherence of a nonquantum cube, for 1 < j < k <= N.
-PhaseFunction = Callable[[int, int, int], int]
+from .tensor import DEFAULT_TOL, HermitianCube, _real_product, hermitian_complete
 
 _RE_WEIGHT = np.sqrt(2.0 / 3.0)
 
@@ -59,42 +53,17 @@ def quantum_to_cube(rho: DensityMatrix) -> HermitianCube:
     return hermitian_complete(canonical, rho.n_paths, is_state=True)
 
 
-def default_phase_function(n_paths: int) -> PhaseFunction:
-    """Exponent assignment whose cubes are the optimal multiport targets.
-
-    With the stacked-Fourier row q for the pair (j, k), the exponent is
-    ``q (gamma - 1) mod N`` (with 0 mapped to N), so that
-    ``nonquantum_cube(path_state(N, n), gamma=n)`` equals
-    ``optimal_cubes(N)[n - 1]`` entry for entry.
-    """
-    rows = {
-        pair: q
-        for pair, q in zip(coherence_pairs(n_paths), fourier_row_exponents(n_paths))
-    }
-
-    def phase(gamma: int, j: int, k: int) -> int:
-        if not 1 <= gamma <= n_paths:
-            raise ValueError(f"gamma {gamma} out of range 1..{n_paths}")
-        exponent = (rows[(j, k)] * (gamma - 1)) % n_paths
-        return exponent if exponent else n_paths
-
-    return phase
-
-
-def nonquantum_cube(
-    rho: DensityMatrix,
-    gamma: int,
-    phases: PhaseFunction | None = None,
-) -> HermitianCube:
+def nonquantum_cube(rho: DensityMatrix, gamma: int) -> HermitianCube:
     """Cube with genuine three-path coherence built from a quantum state.
 
     The diagonal is the complement distribution ``(1 - rho[j,j]) / (N-1)``,
     two-path entries carry the (rescaled) coherences of rho, and every
-    triple (1, j, k) with 1 < j < k receives the unimodular phase
-    ``w^f(gamma, j, k) / (sqrt(3) (N-1))`` with ``w = exp(-i 2 pi / N)``.
-    Three-path entries not involving path 1 stay zero.  ``gamma`` in 1..N
-    enumerates the family; ``phases`` defaults to
-    :func:`default_phase_function`.
+    triple (1, j, k) with 1 < j < k receives the entry for the pair (j, k)
+    in column ``gamma`` of the multiport's coherence block B, over sqrt(3):
+    the unimodular phase of optimal cube ``gamma`` over ``sqrt(3) (N-1)``.
+    Three-path entries not involving path 1 stay zero.
+    ``gamma`` in 1..N enumerates the family, so that
+    ``nonquantum_cube(path_state(N, n), gamma=n)`` is optimal cube n.
     """
     n = rho.n_paths
     if n < 3:
@@ -102,9 +71,9 @@ def nonquantum_cube(
             f"nonquantum cubes need at least 3 paths (no three-path slot exists "
             f"for N={n})"
         )
-    if phases is None:
-        phases = default_phase_function(n)
-    omega = np.exp(-2j * np.pi / n)
+    if not 1 <= gamma <= n:
+        raise ValueError(f"gamma {gamma} out of range 1..{n}")
+    _, coherence = _blocks(n)
     scale = 1.0 / (n - 1)
     canonical: dict[tuple[int, int, int], complex] = {}
     entries = rho.entries
@@ -113,8 +82,9 @@ def nonquantum_cube(
         for k in range(j + 1, n + 1):
             canonical[(j, j, k)] = _RE_WEIGHT * scale * entries[j - 1, k - 1].real
             canonical[(j, k, k)] = _RE_WEIGHT * scale * entries[j - 1, k - 1].imag
-    for j, k in coherence_pairs(n):
-        canonical[(1, j, k)] = omega ** phases(gamma, j, k) * scale / np.sqrt(3.0)
+    # the first rows of the coherence block follow the pairs in order
+    for (j, k), value in zip(coherence_pairs(n), coherence[:, gamma - 1]):
+        canonical[(1, j, k)] = value / _SQRT3
     return hermitian_complete(canonical, n, is_state=True)
 
 
@@ -122,11 +92,14 @@ def measure_path_prob(cube: HermitianCube, path: int, tol: float = DEFAULT_TOL) 
     """Probability that a particle described by the cube is found in ``path``.
 
     Equals the inner product with the path cube, i.e. the diagonal entry
-    C[path, path, path]; clamped to [0, 1] after a sanity check.
+    C[path, path, path], which is read directly; clamped to [0, 1] after
+    the checks of that inner product and a range check.
     """
     if not cube.is_state:
         raise ValueError("path probabilities are defined for state cubes only")
-    p = cube_inner(basis_cube(cube.n_paths, path), cube, tol=tol)
+    if not 1 <= path <= cube.n_paths:
+        raise ValueError(f"path {path} out of range 1..{cube.n_paths}")
+    p = _real_product(complex(cube.entries[(path - 1,) * 3]), tol)
     if p < -tol or p > 1.0 + tol:
         raise ValueError(f"invalid state cube: path probability {p} outside [0, 1]")
     return min(max(p, 0.0), 1.0)

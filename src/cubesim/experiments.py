@@ -86,7 +86,7 @@ def fourier_preset(n_paths: int, tol: float = DEFAULT_TOL) -> IFMResult:
     )
 
 
-def run_quantum_presets(tol: float = DEFAULT_TOL) -> list[IFMResult]:
+def run_quantum_presets() -> list[IFMResult]:
     """Reference quantum runs: the two-path bomb tester and Fourier
     interferometers for N = 2..8, each with its trade-off bound attached."""
     beam_splitter = fourier_unitary(2)
@@ -94,10 +94,9 @@ def run_quantum_presets(tol: float = DEFAULT_TOL) -> list[IFMResult]:
         inject_first_path(beam_splitter),
         beam_splitter,
         bomb_path=1,
-        tol=tol,
         label="elitzur_vaidman",
     )
-    return [bomb_tester] + [fourier_preset(n, tol) for n in range(2, 9)]
+    return [bomb_tester] + [fourier_preset(n) for n in range(2, 9)]
 
 
 def region_scan(

@@ -17,10 +17,11 @@ two-point spectrum {0, N(N-2)/(N-1)^2}, this root has the closed form
 
 On root-of-unity conventions: :func:`build_phase_matrix` uses
 ``exp(+i 2 pi / N)`` while the optimal cubes (and hence the assembled
-transformations) carry the conjugated phases, consistent with
-:func:`cubesim.cubes.nonquantum_cube` and its ``exp(-i 2 pi / N)``.
-Both choices solve the same orthonormality equations; the conjugated one
-matches the tabulated four-path cube family entry for entry.
+transformations) carry the conjugated phases.  The blocks A and B hold
+that family once; :func:`optimal_cubes` and the three-path phases of
+:func:`cubesim.cubes.nonquantum_cube` are read from them.  Both choices
+solve the same orthonormality equations; the conjugated one matches the
+tabulated four-path cube family entry for entry.
 """
 
 from __future__ import annotations
@@ -236,6 +237,20 @@ def from_coords(
     return HermitianCube(basis.n_paths, entries, is_state=is_state)
 
 
+def _blocks(n_paths: int) -> tuple[np.ndarray, np.ndarray]:
+    """Population block A and coherence block B of the N-path multiport.
+
+    ``A = (ones - id) / (N - 1)``.  Column n of ``[A; B]`` holds the
+    sub-basis coordinates of optimal cube n: populations 1/(N-1) off path
+    n, then the conjugated phase rows of :func:`build_phase_matrix` and
+    their conjugates, all over N - 1.
+    """
+    n = n_paths
+    a = (np.ones((n, n)) - np.eye(n)) / (n - 1)
+    phases = np.conj(build_phase_matrix(n).matrix)
+    return a, np.vstack([phases, np.conj(phases)]) / (n - 1)
+
+
 def optimal_cubes(n_paths: int) -> list[HermitianCube]:
     """The N mutually orthogonal pure cubes targeted by the multiport.
 
@@ -245,17 +260,9 @@ def optimal_cubes(n_paths: int) -> list[HermitianCube]:
     conventions).  Each is a pure state cube and the family is
     orthonormal.
     """
-    phases = np.conj(build_phase_matrix(n_paths).matrix)
-    pairs = coherence_pairs(n_paths)
-    cubes = []
-    for n in range(1, n_paths + 1):
-        canonical: dict[tuple[int, int, int], complex] = {
-            (j, j, j): 1.0 / (n_paths - 1) for j in range(1, n_paths + 1) if j != n
-        }
-        for row, (v, w) in enumerate(pairs):
-            canonical[(1, v, w)] = phases[row, n - 1] / (_SQRT3 * (n_paths - 1))
-        cubes.append(hermitian_complete(canonical, n_paths, is_state=True))
-    return cubes
+    basis = sub_basis(n_paths)
+    columns = np.vstack(_blocks(n_paths))
+    return [from_coords(column, basis, is_state=True) for column in columns.T]
 
 
 @dataclass(frozen=True, eq=False)
@@ -350,11 +357,7 @@ def assemble_multiport(n_paths: int, tol: float = MATRIX_TOL) -> MultiportMatrix
     n, d = n_paths, basis.dim
 
     matrix = np.zeros((d, d), dtype=complex)
-    a = (np.ones((n, n)) - np.eye(n)) / (n - 1)
-    # column n of the coherence block holds the three-path coordinates of
-    # optimal cube n: the conjugated phase rows, then their conjugates
-    phases = np.conj(build_phase_matrix(n_paths).matrix)
-    b = np.vstack([phases, np.conj(phases)]) / (n - 1)
+    a, b = _blocks(n_paths)
     matrix[:n, :n] = a
     matrix[n:, :n] = b
     matrix[:n, n:] = b.conj().T

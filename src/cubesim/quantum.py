@@ -166,18 +166,16 @@ def _lueders(rho: DensityMatrix, path: int, tol: float) -> tuple[float, np.ndarr
     return p_trigger, tilde
 
 
-def luders_remove_path(
-    rho: DensityMatrix, path: int, tol: float = DEFAULT_TOL
-) -> tuple[float, DensityMatrix]:
+def luders_remove_path(rho: DensityMatrix, path: int) -> tuple[float, DensityMatrix]:
     """Projective update after the particle was *not* found in ``path``.
 
     Returns ``(p_trigger, rho_tilde)`` where ``p_trigger`` is the
     population of the measured path and ``rho_tilde`` the renormalized
     state with that path projected out.  Raises when the particle is
-    certainly in the path, because the post-measurement state is then
-    undefined.
+    certainly in the path (population at least ``1 - DEFAULT_TOL``),
+    because the post-measurement state is then undefined.
     """
-    p_trigger, tilde = _lueders(rho, path, tol)
+    p_trigger, tilde = _lueders(rho, path, DEFAULT_TOL)
     return p_trigger, DensityMatrix(rho.n_paths, tilde)
 
 
@@ -212,7 +210,6 @@ def quantum_ifm(
     u2: UnitaryMatrix,
     bomb_path: int,
     *,
-    support_tol: float = SUPPORT_TOL,
     tol: float = DEFAULT_TOL,
     label: str = "",
 ) -> IFMResult:
@@ -221,10 +218,10 @@ def quantum_ifm(
     ``rho_inside`` describes the particle inside the interferometer, right
     after the first transformation.  The inconclusive support set consists
     of the output ports where the particle could emerge with no bomb
-    present, i.e. ports whose no-bomb probability exceeds ``support_tol``.
+    present, i.e. ports whose no-bomb probability exceeds ``SUPPORT_TOL``.
     The result is flagged ``support_sensitive`` when a no-bomb port
     probability above the rounding floor ``N * eps`` falls within
-    ``10 * support_tol`` of zero, since the support set could then depend
+    ``10 * SUPPORT_TOL`` of zero, since the support set could then depend
     on the threshold choice.  ``tol`` only decides certain detonation.
     """
     if rho_inside.n_paths != u2.n_paths:
@@ -239,9 +236,9 @@ def quantum_ifm(
     no_bomb_probs, with_bomb_probs = np.einsum(
         "sj,cjk,sk->cs", u, np.array((rho_inside.entries, rho_tilde)), u.conj()
     ).real
-    support = no_bomb_probs > support_tol
+    support = no_bomb_probs > SUPPORT_TOL
     floor = rho_inside.n_paths * _EPS
-    sensitive = any(floor < p < 10 * support_tol for p in no_bomb_probs.tolist())
+    sensitive = any(floor < p < 10 * SUPPORT_TOL for p in no_bomb_probs.tolist())
     p_inconclusive = float((1.0 - p_trigger) * with_bomb_probs[support].sum())
     p_success = 1.0 - p_trigger - p_inconclusive
 

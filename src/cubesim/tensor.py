@@ -153,7 +153,12 @@ def cube_inner(m: HermitianCube, c: HermitianCube, tol: float = DEFAULT_TOL) -> 
         raise ValueError(
             f"path-count mismatch: {m.n_paths} vs {c.n_paths}"
         )
-    raw = complex(np.vdot(m.entries, c.entries))
+    return _real_product(complex(np.vdot(m.entries, c.entries)), tol)
+
+
+def _real_product(raw: complex, tol: float) -> float:
+    """Real part of an inner product of Hermitian cubes; an imaginary
+    residue above ``tol`` signals a non-Hermitian input and raises."""
     if abs(raw.imag) > tol:
         raise ValueError(
             f"inner product has imaginary residue {raw.imag:.3e}; inputs are "

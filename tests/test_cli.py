@@ -355,6 +355,43 @@ def test_tight_tolerance_names_no_construction_invariant(capsys, n, tol):
     assert not any(word in err for word in CONSTRUCTION_INVARIANTS)
 
 
+TOLERANCE_COMMANDS = pytest.mark.parametrize(
+    "argv",
+    [
+        ["ifm", "--model", "cube", "--n", "3"],
+        ["ifm", "--model", "quantum", "--n", "3"],
+        ["sorkin", "--port", "2"],
+    ],
+    ids=["cube", "quantum", "sorkin"],
+)
+
+
+# At a tolerance of 1 or more the certain-detonation guards p >= 1 - tol
+# would fire even at p = 0.
+@TOLERANCE_COMMANDS
+@pytest.mark.parametrize(
+    "flag, env_tol", [("1", None), ("inf", None), (None, "1"), (None, "inf")]
+)
+def test_tolerance_of_one_or_more_is_usage_error(capsys, monkeypatch, argv, flag, env_tol):
+    if env_tol is not None:
+        monkeypatch.setenv("CUBESIM_TOL", env_tol)
+    extra = [] if flag is None else ["--tol", flag]
+    try:
+        code = main([*argv, *extra])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "below 1" in captured.err
+
+
+@TOLERANCE_COMMANDS
+def test_loose_tolerance_below_one_keeps_the_default_output(capsys, argv):
+    _, expected, _ = run_cli(capsys, *argv)
+    assert run_cli(capsys, *argv, "--tol", "0.5") == (0, expected, "")
+
+
 def test_invalid_env_tolerance_value(capsys, monkeypatch):
     monkeypatch.setenv("CUBESIM_TOL", "-1.0")
     code, _, err = run_cli(capsys, "ifm", "--model", "cube", "--n", "3")

@@ -6,7 +6,6 @@ import pytest
 from cubesim.cubes import (
     basis_cube,
     basis_cubes,
-    default_phase_function,
     dephase,
     luders_update_cube,
     measure_path_prob,
@@ -15,7 +14,7 @@ from cubesim.cubes import (
 )
 from cubesim.multiport import optimal_cubes
 from cubesim.quantum import DensityMatrix, random_density_matrix, random_pure_state
-from cubesim.tensor import cube_inner, hermitian_complete
+from cubesim.tensor import HermitianCube, cube_inner, hermitian_complete
 
 SQRT23 = math.sqrt(2.0 / 3.0)
 
@@ -85,7 +84,7 @@ def test_embedding_preserves_inner_product(rng):
 
 def test_nonquantum_from_path_state_with_trivial_phases():
     rho = DensityMatrix.path_state(3, 1)
-    cube = nonquantum_cube(rho, gamma=1, phases=lambda g, j, k: 3)
+    cube = nonquantum_cube(rho, gamma=1)
     np.testing.assert_allclose(cube.diagonal(), [0.0, 0.5, 0.5], atol=1e-15)
     assert abs(cube.entry(1, 2, 3)) == pytest.approx(1.0 / (2.0 * math.sqrt(3.0)))
     assert cube.entry(1, 2, 3) == pytest.approx(1.0 / (2.0 * math.sqrt(3.0)))
@@ -98,14 +97,12 @@ def test_nonquantum_diagonal_sums_to_one(rng):
         assert cube.diagonal().sum() == pytest.approx(1.0, abs=1e-12)
 
 
-def test_nonquantum_with_default_phases_matches_optimal_cubes():
-    for n in (3, 4, 5):
-        targets = optimal_cubes(n)
-        for gamma in range(1, n + 1):
-            cube = nonquantum_cube(DensityMatrix.path_state(n, gamma), gamma=gamma)
-            np.testing.assert_allclose(
-                cube.entries, targets[gamma - 1].entries, atol=1e-12
-            )
+@pytest.mark.parametrize("n", range(3, 13))
+def test_nonquantum_with_default_phases_matches_optimal_cubes(n):
+    targets = optimal_cubes(n)
+    for gamma in range(1, n + 1):
+        cube = nonquantum_cube(DensityMatrix.path_state(n, gamma), gamma=gamma)
+        np.testing.assert_allclose(cube.entries, targets[gamma - 1].entries, atol=1e-12)
 
 
 def test_nonquantum_keeps_two_path_part_of_rho(rng):
@@ -130,13 +127,10 @@ def test_nonquantum_needs_three_paths():
         nonquantum_cube(DensityMatrix.maximally_mixed(2), gamma=1)
 
 
-def test_default_phase_function_codomain():
-    phase = default_phase_function(4)
-    for gamma in range(1, 5):
-        for j, k in ((2, 3), (2, 4), (3, 4)):
-            assert 1 <= phase(gamma, j, k) <= 4
+@pytest.mark.parametrize("gamma", [0, 5])
+def test_nonquantum_gamma_range(gamma):
     with pytest.raises(ValueError, match="gamma"):
-        phase(5, 2, 3)
+        nonquantum_cube(DensityMatrix.maximally_mixed(4), gamma=gamma)
 
 
 # --- path measurement ------------------------------------------------------------
@@ -149,6 +143,24 @@ def test_measure_interferometer_cube():
     cube = interferometer_cube()
     assert measure_path_prob(cube, 1) == pytest.approx(0.0, abs=1e-15)
     assert measure_path_prob(cube, 2) == pytest.approx(0.5)
+
+
+def test_measure_path_range():
+    with pytest.raises(ValueError, match="path 4 out of range"):
+        measure_path_prob(basis_cube(3, 1), 4)
+
+
+def test_measure_rejects_imaginary_diagonal_like_the_inner_product():
+    # oracle: the inner product with the path cube, which the direct read replaces
+    entries = np.array(basis_cube(3, 1).entries)
+    entries[0, 0, 0] += 1e-12j
+    cube = HermitianCube(3, entries, is_state=True)
+    with pytest.raises(ValueError, match="imaginary residue") as direct:
+        measure_path_prob(cube, 1, tol=1e-13)
+    with pytest.raises(ValueError) as inner:
+        cube_inner(basis_cube(3, 1), cube, tol=1e-13)
+    assert str(direct.value) == str(inner.value)
+    assert measure_path_prob(cube, 1) == cube_inner(basis_cube(3, 1), cube) == 1.0
 
 
 def test_measure_requires_state_cube():

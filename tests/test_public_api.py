@@ -1,6 +1,7 @@
 """The documented surface: the export list and README's tour."""
 
 import ast
+import inspect
 import re
 from pathlib import Path
 
@@ -15,6 +16,12 @@ def test_export_list_resolves_without_duplicates():
     assert len(cubesim.__all__) == len(set(cubesim.__all__))
     for name in cubesim.__all__:
         assert hasattr(cubesim, name), name
+
+
+def test_phase_function_knob_is_gone():
+    for name in ("PhaseFunction", "default_phase_function"):
+        assert not hasattr(cubesim, name) and name not in cubesim.__all__
+    assert list(inspect.signature(cubesim.nonquantum_cube).parameters) == ["rho", "gamma"]
 
 
 def tour_values() -> list[object]:
