@@ -105,15 +105,14 @@ def measure_path_prob(cube: HermitianCube, path: int, tol: float = DEFAULT_TOL) 
     return min(max(p, 0.0), 1.0)
 
 
-def luders_update_cube(
-    cube: HermitianCube, path: int, found: bool, tol: float = DEFAULT_TOL
-) -> HermitianCube:
+def luders_update_cube(cube: HermitianCube, path: int, found: bool) -> HermitianCube:
     """State update after measuring whether the particle is in ``path``.
 
     Found: the cube collapses to the path cube, discarding all prior
     information.  Not found: every entry carrying the path's index is
     erased and the remainder is renormalized by one minus the path
-    population; conditioning on an impossible not-found outcome raises.
+    population; conditioning on an impossible not-found outcome (path
+    population at least ``1 - DEFAULT_TOL``) raises.
     """
     if not cube.is_state:
         raise ValueError("the measurement update is defined for state cubes only")
@@ -122,7 +121,7 @@ def luders_update_cube(
     if found:
         return basis_cube(cube.n_paths, path)
     p = float(cube.entries[path - 1, path - 1, path - 1].real)
-    if p >= 1.0 - tol:
+    if p >= 1.0 - DEFAULT_TOL:
         raise ValueError(
             "conditioning on a zero-probability event: the particle is certainly "
             "in the measured path"

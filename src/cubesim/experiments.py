@@ -57,7 +57,7 @@ def run_cube_ifm(n_paths: int, tol: float = DEFAULT_TOL) -> IFMResult:
         )
 
     p_trigger = measure_path_prob(inside, 1, tol=tol)
-    updated = luders_update_cube(inside, 1, found=False, tol=tol)
+    updated = luders_update_cube(inside, 1, found=False)
     out = apply_transform(transform, updated, tol=tol)
     p_inconclusive = (1.0 - p_trigger) * measure_path_prob(out, 1, tol=tol)
     p_success = 1.0 - p_trigger - p_inconclusive
@@ -73,7 +73,7 @@ def run_cube_ifm(n_paths: int, tol: float = DEFAULT_TOL) -> IFMResult:
     )
 
 
-def fourier_preset(n_paths: int, tol: float = DEFAULT_TOL) -> IFMResult:
+def fourier_preset(n_paths: int) -> IFMResult:
     """Quantum run of the N-path Fourier interferometer: the Fourier transform
     in, the bomb in path 1, the inverse transform out.  Presets exist for
     N = 2..8."""
@@ -81,9 +81,7 @@ def fourier_preset(n_paths: int, tol: float = DEFAULT_TOL) -> IFMResult:
         raise ValueError(f"no quantum preset for N={n_paths}; available N: 2..8")
     f = fourier_unitary(n_paths)
     inverse = UnitaryMatrix(n_paths, f.entries.conj().T)
-    return quantum_ifm(
-        inject_first_path(f), inverse, bomb_path=1, tol=tol, label=f"fourier_{n_paths}"
-    )
+    return quantum_ifm(inject_first_path(f), inverse, bomb_path=1, label=f"fourier_{n_paths}")
 
 
 def run_quantum_presets() -> list[IFMResult]:

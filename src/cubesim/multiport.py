@@ -331,27 +331,28 @@ def _identity_residuals(matrix: np.ndarray) -> tuple[float, float]:
     return involution, adjoint
 
 
-def _require_identities(matrix: np.ndarray, tol: float, what: str) -> None:
-    """Raise unless ``matrix`` is a self-adjoint involution within ``tol``.
+def _require_identities(matrix: np.ndarray, what: str) -> None:
+    """Raise unless ``matrix`` is a self-adjoint involution within the fixed
+    ``MATRIX_TOL``, a construction invariant that no caller loosens.
 
-    Written as ``not (residual <= tol)`` so that a NaN residual fails.
+    Written as ``not (residual <= MATRIX_TOL)`` so that a NaN residual fails.
     """
     involution, adjoint = _identity_residuals(matrix)
-    if not (involution <= tol and adjoint <= tol):
+    if not (involution <= MATRIX_TOL and adjoint <= MATRIX_TOL):
         raise ValueError(
             f"{what} fails its defining identities "
             f"(involution residual {involution:.3e}, adjoint {adjoint:.3e})"
         )
 
 
-def assemble_multiport(n_paths: int, tol: float = MATRIX_TOL) -> MultiportMatrix:
+def assemble_multiport(n_paths: int) -> MultiportMatrix:
     """Build the N-path cube multiport mapping path cube n to optimal cube n.
 
     The population block is ``(ones - id) / (N - 1)``; the coherence rows
     are the three-path coordinates of the optimal cubes; the top-right
     block is their adjoint; and the closing block is the closed-form root
     ``sqrt(1 - B B+) = 1 - ((N-1)/N) B B+``.  Self-adjointness and the
-    involution property are checked at ``tol`` before returning.
+    involution property are checked at ``MATRIX_TOL`` before returning.
     """
     basis = sub_basis(n_paths)
     n, d = n_paths, basis.dim
@@ -363,7 +364,7 @@ def assemble_multiport(n_paths: int, tol: float = MATRIX_TOL) -> MultiportMatrix
     matrix[:n, n:] = b.conj().T
     matrix[n:, n:] = np.eye(d - n) - ((n - 1) / n) * (b @ b.conj().T)
 
-    _require_identities(matrix, tol, f"assembled multiport for N={n_paths}")
+    _require_identities(matrix, f"assembled multiport for N={n_paths}")
     return MultiportMatrix(n_paths, matrix, basis)
 
 
@@ -527,15 +528,15 @@ def alternative_d_blocks_n4() -> list[np.ndarray]:
     return [d2, d3]
 
 
-def alternative_multiport_n4(variant: int, tol: float = MATRIX_TOL) -> MultiportMatrix:
+def alternative_multiport_n4(variant: int) -> MultiportMatrix:
     """Four-path self-adjoint involution closed with one of the tabulated
     D blocks (1 or 2); see :func:`alternative_d_blocks_n4` for the parts
     of the multiport contract it breaks."""
     blocks = alternative_d_blocks_n4()
     if variant not in (1, 2):
         raise ValueError(f"variant must be 1 or 2, got {variant}")
-    base = assemble_multiport(4, tol)
+    base = assemble_multiport(4)
     matrix = np.array(base.matrix)
     matrix[4:, 4:] = blocks[variant - 1]
-    _require_identities(matrix, tol, f"tabulated alternative D block {variant}")
+    _require_identities(matrix, f"tabulated alternative D block {variant}")
     return replace(base, matrix=matrix)

@@ -137,7 +137,7 @@ def inject_first_path(u1: UnitaryMatrix) -> DensityMatrix:
     return DensityMatrix.from_state_vector(u1.entries[:, 0])
 
 
-def _lueders(rho: DensityMatrix, path: int, tol: float) -> tuple[float, np.ndarray]:
+def _lueders(rho: DensityMatrix, path: int) -> tuple[float, np.ndarray]:
     """Trigger probability and validated entries of the not-found state.
 
     The entries pass the checks of ``DensityMatrix`` with its messages.
@@ -150,7 +150,7 @@ def _lueders(rho: DensityMatrix, path: int, tol: float) -> tuple[float, np.ndarr
     if not 1 <= path <= rho.n_paths:
         raise ValueError(f"path {path} out of range 1..{rho.n_paths}")
     p_trigger = rho.probability(path)
-    if p_trigger >= 1.0 - tol:
+    if p_trigger >= 1.0 - DEFAULT_TOL:
         raise ValueError(
             "certain detonation: the particle is in the measured path and the "
             "post-measurement state is undefined"
@@ -175,7 +175,7 @@ def luders_remove_path(rho: DensityMatrix, path: int) -> tuple[float, DensityMat
     certainly in the path (population at least ``1 - DEFAULT_TOL``),
     because the post-measurement state is then undefined.
     """
-    p_trigger, tilde = _lueders(rho, path, DEFAULT_TOL)
+    p_trigger, tilde = _lueders(rho, path)
     return p_trigger, DensityMatrix(rho.n_paths, tilde)
 
 
@@ -210,7 +210,6 @@ def quantum_ifm(
     u2: UnitaryMatrix,
     bomb_path: int,
     *,
-    tol: float = DEFAULT_TOL,
     label: str = "",
 ) -> IFMResult:
     """Single-shot interaction-free measurement with the bomb in ``bomb_path``.
@@ -222,14 +221,15 @@ def quantum_ifm(
     The result is flagged ``support_sensitive`` when a no-bomb port
     probability above the rounding floor ``N * eps`` falls within
     ``10 * SUPPORT_TOL`` of zero, since the support set could then depend
-    on the threshold choice.  ``tol`` only decides certain detonation.
+    on the threshold choice.  Certain detonation raises, as in
+    :func:`luders_remove_path`.
     """
     if rho_inside.n_paths != u2.n_paths:
         raise ValueError(
             f"dimension mismatch: state has {rho_inside.n_paths} paths, "
             f"unitary has {u2.n_paths}"
         )
-    p_trigger, rho_tilde = _lueders(rho_inside, bomb_path, tol)
+    p_trigger, rho_tilde = _lueders(rho_inside, bomb_path)
 
     u = u2.entries
     # one einsum for both states; a matmul form rounds differently

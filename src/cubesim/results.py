@@ -52,10 +52,10 @@ class IFMResult:
                 f"{self.bound_value}"
             )
 
-    def is_perfect(self, tol: float = RESULT_TOL) -> bool:
+    def is_perfect(self) -> bool:
         """Perfect interaction-free measurement: never triggers, yet the
-        inconclusive outcome is not certain."""
-        return self.p_trigger < tol and self.p_inconclusive < 1.0 - tol
+        inconclusive outcome is not certain (both within ``RESULT_TOL``)."""
+        return self.p_trigger < RESULT_TOL and self.p_inconclusive < 1.0 - RESULT_TOL
 
     def to_json_dict(self) -> dict:
         return {

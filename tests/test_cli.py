@@ -170,6 +170,20 @@ def test_verify_json(capsys):
     assert all(row["involution_residual"] < 1e-9 for row in rows)
 
 
+# --matrix-tol is only the report's pass threshold: the assembly check is
+# fixed, so a threshold below the residuals prints every row as failed
+def test_verify_below_the_residuals_reports_failures(capsys):
+    code, out, err = run_cli(capsys, "verify", "--n", "3..6", "--matrix-tol", "1e-20")
+    assert (code, err) == (1, "")
+    lines = out.strip().split("\n")
+    assert len(lines) == 4 and all(line.endswith("[FAIL]") for line in lines)
+    code, out, err = run_cli(
+        capsys, "verify", "--n", "3..6", "--matrix-tol", "1e-20", "--format", "json"
+    )
+    assert (code, err) == (1, "")
+    assert [row["passed"] for row in json.loads(out)] == [False] * 4
+
+
 def test_dump_matrix(capsys):
     code, out, _ = run_cli(capsys, "dump-matrix", "--n", "4")
     assert code == 0
@@ -366,8 +380,8 @@ TOLERANCE_COMMANDS = pytest.mark.parametrize(
 )
 
 
-# At a tolerance of 1 or more the certain-detonation guards p >= 1 - tol
-# would fire even at p = 0.
+# At a tolerance of 1 or more the probability range check, the coordinate
+# domain check and the no-bomb gap would accept anything.
 @TOLERANCE_COMMANDS
 @pytest.mark.parametrize(
     "flag, env_tol", [("1", None), ("inf", None), (None, "1"), (None, "inf")]
@@ -390,6 +404,20 @@ def test_tolerance_of_one_or_more_is_usage_error(capsys, monkeypatch, argv, flag
 def test_loose_tolerance_below_one_keeps_the_default_output(capsys, argv):
     _, expected, _ = run_cli(capsys, *argv)
     assert run_cli(capsys, *argv, "--tol", "0.5") == (0, expected, "")
+
+
+# certain detonation is decided at the fixed 1e-10, so a --tol at or above
+# 1 - P_* (P_* = 1/2 and 1/3 here) does not turn the run into an error
+@pytest.mark.parametrize("n, tol", [(2, "0.5"), (3, "0.7")])
+@pytest.mark.parametrize("via_env", [False, True], ids=["flag", "env"])
+def test_quantum_ifm_ignores_the_tolerance(capsys, monkeypatch, n, tol, via_env):
+    argv = ["ifm", "--model", "quantum", "--n", str(n)]
+    _, expected, _ = run_cli(capsys, *argv)
+    if via_env:
+        monkeypatch.setenv("CUBESIM_TOL", tol)
+    else:
+        argv += ["--tol", tol]
+    assert run_cli(capsys, *argv) == (0, expected, "")
 
 
 def test_invalid_env_tolerance_value(capsys, monkeypatch):
@@ -419,6 +447,8 @@ def test_invalid_env_tolerance_value(capsys, monkeypatch):
         (None, ["dump-matrix", "--n", "3", "--format", "csv"]),
         (None, ["sorkin", "--format", "pretty"]),
         (None, ["sorkin", "--n", "4"]),
+        (None, ["ifm", "--model", "cube", "--n", "3", "--seed", "-1"]),
+        (None, ["ifm", "--model", "cube", "--n", "3", "--seed", "1", "--shots", str(2**63)]),
     ],
 )
 def test_usage_errors_exit_2(capsys, monkeypatch, env_tol, argv):
@@ -430,6 +460,15 @@ def test_usage_errors_exit_2(capsys, monkeypatch, env_tol, argv):
         code = exc.code
     assert code == 2
     assert capsys.readouterr().out == ""
+
+
+def test_largest_shot_count_is_sampled(capsys):
+    argv = ["ifm", "--model", "cube", "--n", "3", "--seed", "1", "--shots", str(2**63 - 1)]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    clicks = json.loads(out)["clicks"]
+    assert clicks["shots"] == 2**63 - 1
+    assert clicks["trigger"] + clicks["inconclusive"] + clicks["success"] == 2**63 - 1
 
 
 def test_unknown_command_is_usage_error():

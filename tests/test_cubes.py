@@ -210,6 +210,19 @@ def test_update_conditioning_on_impossible_outcome():
         luders_update_cube(basis_cube(3, 1), 1, found=False)
 
 
+@pytest.mark.parametrize("gap, raises", [(1e-11, True), (1e-9, False)])
+def test_update_guard_boundary(gap, raises):
+    p = 1.0 - gap
+    rho = DensityMatrix(3, np.diag([p, 1.0 - p, 0.0]).astype(complex))
+    cube = quantum_to_cube(rho)
+    if raises:
+        with pytest.raises(ValueError, match="zero-probability"):
+            luders_update_cube(cube, 1, found=False)
+    else:
+        updated = luders_update_cube(cube, 1, found=False)
+        np.testing.assert_allclose(updated.entries, basis_cube(3, 2).entries, atol=1e-12)
+
+
 def test_post_update_nonquantum_cube_is_quantum(rng):
     # after a not-found measurement on path 1 all three-path terms vanish,
     # and the remainder is the embedding of an ordinary density matrix

@@ -24,6 +24,18 @@ def test_phase_function_knob_is_gone():
     assert list(inspect.signature(cubesim.nonquantum_cube).parameters) == ["rho", "gamma"]
 
 
+def test_fixed_guards_take_no_tolerance():
+    for func in (
+        cubesim.quantum.quantum_ifm,
+        cubesim.experiments.fourier_preset,
+        cubesim.cubes.luders_update_cube,
+        cubesim.multiport.assemble_multiport,
+        cubesim.multiport.alternative_multiport_n4,
+        cubesim.results.IFMResult.is_perfect,
+    ):
+        assert "tol" not in inspect.signature(func).parameters, func.__qualname__
+
+
 def tour_values() -> list[object]:
     """Run README's "A short tour" block; return its bare expressions' values."""
     text = README.read_text()

@@ -102,6 +102,23 @@ def test_remove_path_certain_detonation():
         luders_remove_path(DensityMatrix.path_state(2, 1), 1)
 
 
+# the guard sits at the fixed 1 - DEFAULT_TOL on both sides
+@pytest.mark.parametrize("gap, raises", [(1e-11, True), (1e-9, False)])
+def test_certain_detonation_boundary(gap, raises):
+    p = 1.0 - gap
+    rho = DensityMatrix(2, np.diag([p, 1.0 - p]).astype(complex))
+    calls = (
+        lambda: luders_remove_path(rho, 1)[0],
+        lambda: quantum_ifm(rho, fourier_unitary(2), bomb_path=1).p_trigger,
+    )
+    for call in calls:
+        if raises:
+            with pytest.raises(ValueError, match="certain detonation"):
+                call()
+        else:
+            assert call() == p
+
+
 def test_remove_path_zeroes_row_and_column(rng):
     rho = random_density_matrix(4, rng)
     _, tilde = luders_remove_path(rho, 2)
