@@ -24,7 +24,6 @@ from .multiport import (
     MATRIX_TOL,
     MultiportMatrix,
     MultiportReport,
-    PhaseMatrix,
     SubBasis,
     apply_transform,
     assemble_multiport,
@@ -66,7 +65,6 @@ __all__ = [
     "IFMResult",
     "MultiportMatrix",
     "MultiportReport",
-    "PhaseMatrix",
     "SubBasis",
     "UnitaryMatrix",
     "apply_transform",

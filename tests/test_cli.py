@@ -345,7 +345,7 @@ CONSTRUCTION_INVARIANTS = (
     "not Hermitian",
     "negative eigenvalue",
     "not unitary",
-    "unit modulus",
+    "breaks B+B",
 )
 
 

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubesim.cubes import basis_cube
+from cubesim.cubes import basis_cube, nonquantum_cube
 from cubesim.multiport import (
+    MATRIX_TOL,
     MultiportMatrix,
-    alternative_d_blocks_n4,
-    alternative_multiport_n4,
+    _blocks,
     apply_transform,
     assemble_multiport,
     build_phase_matrix,
@@ -131,6 +131,52 @@ def tabulated_four_path_matrix_variant2():
         )
         / 3.0
     )
+
+
+# Two further tabulated closing blocks for the four-path multiport.  With
+# the same A and B blocks, each closes the transformation to a self-adjoint
+# involution, but not to an admissible multiport: it breaks the Hermiticity
+# pairing and has the eigenvalue -1, outside the two-point set {1, 1/3}.
+
+def alternative_d_blocks_n4():
+    i = 1j
+    d2 = (
+        np.array(
+            [
+                [1, -i, i, -i, i, 0],
+                [i, 1, 1, -1, 0, -i],
+                [-i, 1, 1, 0, -1, i],
+                [i, -1, 0, 1, 1, -i],
+                [-i, 0, -1, 1, 1, i],
+                [0, i, -i, i, -i, 1],
+            ],
+            dtype=complex,
+        )
+        / 3.0
+    )
+    d3 = (
+        np.array(
+            [
+                [1, -1, -i, i, 1, 0],
+                [-1, 1, -i, i, 0, 1],
+                [i, i, 1, 0, -i, -i],
+                [-i, -i, 0, 1, i, i],
+                [1, 0, i, -i, 1, -1],
+                [0, 1, i, -i, -1, 1],
+            ],
+            dtype=complex,
+        )
+        / 3.0
+    )
+    return [d2, d3]
+
+
+def alternative_multiport_n4(variant):
+    """The assembled four-path multiport closed with tabulated D block 1 or 2."""
+    base = assemble_multiport(4)
+    matrix = np.array(base.matrix)
+    matrix[4:, 4:] = alternative_d_blocks_n4()[variant - 1]
+    return replace(base, matrix=matrix)
 
 
 def interferometer_cube():
@@ -336,7 +382,7 @@ def test_t3_image_of_post_measurement_cube():
 
 def test_phase_matrix_three_paths():
     w = np.exp(2j * np.pi / 3)
-    x = build_phase_matrix(3).matrix
+    x = build_phase_matrix(3)
     np.testing.assert_allclose(x, [[1, w, w**2]], atol=1e-15)
     overlap = 2 * np.real(np.vdot(x[:, 0], x[:, 1]))
     assert overlap == pytest.approx(-1.0, abs=1e-12)
@@ -345,11 +391,11 @@ def test_phase_matrix_three_paths():
 def test_phase_matrix_four_paths_is_deleted_row_fourier():
     w = np.exp(2j * np.pi / 4)
     expected = np.array([[w ** (q * c) for c in range(4)] for q in (1, 2, 3)])
-    np.testing.assert_allclose(build_phase_matrix(4).matrix, expected, atol=1e-12)
+    np.testing.assert_allclose(build_phase_matrix(4), expected, atol=1e-12)
 
 
 def test_phase_matrix_five_paths_shape_and_overlaps():
-    x = build_phase_matrix(5).matrix
+    x = build_phase_matrix(5)
     assert x.shape == (6, 5)
     gram = 2.0 * np.real(x.conj().T @ x)
     for m in range(5):
@@ -360,7 +406,7 @@ def test_phase_matrix_five_paths_shape_and_overlaps():
 
 @pytest.mark.parametrize("n", range(3, 13))
 def test_phase_matrix_invariants(n):
-    x = build_phase_matrix(n).matrix
+    x = build_phase_matrix(n)
     assert x.shape == ((n - 1) * (n - 2) // 2, n)
     np.testing.assert_allclose(np.abs(x), 1.0, atol=1e-12)
 
@@ -421,7 +467,7 @@ def test_sqrt_diagonal():
 def test_sqrt_of_three_path_coherence_complement():
     # with X = (1, w, w^2) the coherence Gram block is (3/4) id, so the
     # closing block must be id/2
-    x = build_phase_matrix(3).matrix
+    x = build_phase_matrix(3)
     b = np.vstack([np.conj(x), x]) / 2.0
     d = hermitian_sqrt(np.eye(2) - b @ b.conj().T)
     np.testing.assert_allclose(d, np.eye(2) / 2.0, atol=1e-12)
@@ -616,8 +662,6 @@ def test_alternative_closing_blocks():
     )
     d2, d3 = alternative_d_blocks_n4()
     assert not np.allclose(d2, d3)
-    with pytest.raises(ValueError, match="variant"):
-        alternative_multiport_n4(3)
 
 
 @pytest.mark.parametrize("variant", [1, 2])
@@ -631,13 +675,48 @@ def test_alternative_closing_blocks_break_the_multiport_contract(variant):
     assert report.d_spectrum_deviation > 0.1
 
 
-def test_assembly_gate_rejects_nan_matrices(monkeypatch):
-    # a NaN residual compares false against any tolerance, so a gate written
-    # as "residual > tol" would let this matrix through
-    blocks = [np.full((6, 6), np.nan, dtype=complex)] * 2
-    monkeypatch.setattr("cubesim.multiport.alternative_d_blocks_n4", lambda: blocks)
-    with pytest.raises(ValueError, match="defining identities"):
-        alternative_multiport_n4(1)
+# --- construction check ------------------------------------------------------------------------
+# With k = (N-1)/N and G0 = (N-2)/(N-1)^2 (N id - ones), B+B = G0 and B 1 = 0
+# make every block of M M - id vanish through these closed-form identities.
+
+@pytest.mark.parametrize("n", range(3, 33))
+def test_closed_form_identities_behind_the_construction_check(n):
+    a, _ = _blocks(n)
+    eye, ones, k = np.eye(n), np.ones((n, n)), (n - 1) / n
+    g0 = (n - 2) / (n - 1) ** 2 * (n * eye - ones)
+    np.testing.assert_allclose(a @ a + g0, eye, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(g0 @ np.ones(n), 0.0, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(a + eye - k * g0, (2 / n) * ones, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(
+        (1 - 2 * k) * eye + k**2 * g0, -((n - 2) / n**2) * ones, rtol=0, atol=1e-13
+    )
+
+
+@pytest.mark.parametrize("n", range(3, 33))
+def test_construction_check_residuals_have_headroom(n):
+    _, b = _blocks(n)
+    target = (n - 2) * (n * np.eye(n) - np.ones((n, n)))
+    assert np.abs((n - 1) ** 2 * (b.conj().T @ b) - target).max() <= MATRIX_TOL / 100
+    assert np.abs(b.sum(axis=1)).max() <= MATRIX_TOL / 100
+
+
+BLOCK_READERS = {
+    "assemble_multiport": assemble_multiport,
+    "optimal_cubes": optimal_cubes,
+    "nonquantum_cube": lambda n: nonquantum_cube(DensityMatrix.maximally_mixed(n), 1),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(BLOCK_READERS))
+@pytest.mark.parametrize("corruption", ["rotated", "nan"])
+def test_construction_check_rejects_a_corrupted_phase_table(corruption, reader, monkeypatch):
+    # a NaN residual compares false against any tolerance, so a check written
+    # as "residual > tol" would let the NaN table through
+    table = build_phase_matrix(5)
+    table[1, 2] = np.nan if corruption == "nan" else table[1, 2] * np.exp(1e-4j)
+    monkeypatch.setattr("cubesim.multiport.build_phase_matrix", lambda n_paths: table)
+    with pytest.raises(ValueError, match=r"breaks B\+B = G0 or B 1 = 0"):
+        BLOCK_READERS[reader](5)
 
 
 # --- shape validation --------------------------------------------------------------------------

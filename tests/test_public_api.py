@@ -5,6 +5,7 @@ import inspect
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cubesim
@@ -24,13 +25,22 @@ def test_phase_function_knob_is_gone():
     assert list(inspect.signature(cubesim.nonquantum_cube).parameters) == ["rho", "gamma"]
 
 
+def test_phase_table_is_a_plain_array():
+    for name in ("PhaseMatrix", "alternative_d_blocks_n4", "alternative_multiport_n4"):
+        assert not hasattr(cubesim, name) and name not in cubesim.__all__
+        assert not hasattr(cubesim.multiport, name)
+    for n in (3, 4, 7):
+        table = cubesim.build_phase_matrix(n)
+        assert isinstance(table, np.ndarray)
+        assert table.shape == ((n - 1) * (n - 2) // 2, n)
+
+
 def test_fixed_guards_take_no_tolerance():
     for func in (
         cubesim.quantum.quantum_ifm,
         cubesim.experiments.fourier_preset,
         cubesim.cubes.luders_update_cube,
         cubesim.multiport.assemble_multiport,
-        cubesim.multiport.alternative_multiport_n4,
         cubesim.results.IFMResult.is_perfect,
     ):
         assert "tol" not in inspect.signature(func).parameters, func.__qualname__

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubesim.multiport import PhaseMatrix, build_phase_matrix
 from cubesim.quantum import DensityMatrix, UnitaryMatrix, fourier_unitary
 from cubesim.tensor import (
     DEFAULT_TOL,
@@ -206,10 +205,6 @@ NAN_CONSTRUCTORS = {
     "UnitaryMatrix": (
         lambda: fourier_unitary(2).entries,
         lambda arr: UnitaryMatrix(2, arr),
-    ),
-    "PhaseMatrix": (
-        lambda: build_phase_matrix(4).matrix,
-        lambda arr: PhaseMatrix(4, arr),
     ),
 }
 
