@@ -114,10 +114,11 @@ def _multiport_json(transform: multiport.MultiportMatrix) -> Iterator[str]:
     """``_json_dump`` of the multiport's ``n_paths``, ``basis_order`` and
     ``matrix`` (rows of ``[re, im]`` pairs) in chunks, one matrix row each.
 
-    A multiport holds few distinct floats (3702 of 1.85M at N = 32), so
-    each distinct bit pattern is formatted once; deduplicating on bits,
-    not values, keeps ``-0.0`` apart from ``0.0``.  Every check runs
-    before the first chunk, so a failure writes nothing.
+    A multiport holds few distinct complex entries (2698 of 925,444 at
+    N = 32), so the indent-2 text of each distinct ``[re, im]`` pair is
+    formatted once.  Pairs are told apart by the bit patterns of their two
+    floats, not by value, which keeps ``-0.0`` apart from ``0.0``.  Every
+    check runs before the first chunk, so a failure writes nothing.
     """
     placeholder = "@matrix@"
     head, tail = _json_dump(
@@ -127,19 +128,34 @@ def _multiport_json(transform: multiport.MultiportMatrix) -> Iterator[str]:
             "n_paths": transform.n_paths,
         }
     ).split(json.dumps(placeholder))
-    values = transform.matrix.view(np.float64)  # rows of interleaved re, im
-    bits, index = np.unique(values.view(np.int64), return_inverse=True)
-    distinct = bits.view(np.float64)
-    if not np.isfinite(distinct).all():
+    bits = transform.matrix.view(np.float64).view(np.int64)  # rows of re, im
+    floats = _distinct(bits)
+    if not np.isfinite(floats.view(np.float64)).all():
         raise ValueError(f"multiport for N={transform.n_paths} has a non-finite entry")
-    text = np.array([float.__repr__(x) for x in distinct.tolist()], dtype=object)
-    # one row of [re, im] pairs in the indent=2 layout, two levels deep
+    index = np.searchsorted(floats, bits)
+    keys = index[:, 0::2] * len(floats) + index[:, 1::2]
+    pairs = _distinct(keys)
+    text = [float.__repr__(x) for x in floats.view(np.float64).tolist()]
+    # one [re, im] pair in the indent=2 layout, two levels deep
     pair = "\n      [\n        %s,\n        %s\n      ]"
-    row = "\n    [" + ",".join([pair] * len(values)) + "\n    ]"
-    rows = (row % tuple(text[i]) for i in index.reshape(values.shape))
+    pair_text = np.array(
+        [pair % (text[k // len(floats)], text[k % len(floats)]) for k in pairs.tolist()],
+        dtype=object,
+    )
+    rows = (
+        "\n    [" + ",".join(pair_text[row]) + "\n    ]"
+        for row in np.searchsorted(pairs, keys)
+    )
     return itertools.chain(
         [head, "[", next(rows)], ("," + r for r in rows), ["\n  ]", tail]
     )
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The sorted distinct entries of an integer array; on a multiport
+    this is about four times faster than ``np.unique``."""
+    ordered = np.sort(values, axis=None)
+    return ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
 
 
 # ---------------------------------------------------------------------------

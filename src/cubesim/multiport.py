@@ -331,16 +331,27 @@ def assemble_multiport(n_paths: int) -> MultiportMatrix:
     by construction, and it is an involution because :func:`_blocks`
     checks ``B+B`` and ``B 1`` at ``MATRIX_TOL``; :func:`verify_multiport`
     measures the residuals of both identities.
+
+    The closing block is built in place: ``k X`` with ``k = (N-1)/N`` and
+    ``X = B B+``, then ``0 - k X``, then 1 added on the diagonal.  That is
+    ``id - k X`` bit for bit: ``(0 - y) + 1`` rounds as ``1 - y`` does, and
+    ``0 - y`` is ``+0.0`` for ``y = -0.0``, as subtracting from the zeros of
+    ``id`` gives, so ``dump-matrix`` prints the same sign on every zero.
     """
     basis = sub_basis(n_paths)
     n, d = n_paths, basis.dim
 
-    matrix = np.zeros((d, d), dtype=complex)
+    matrix = np.empty((d, d), dtype=complex)  # every cell is written below
     a, b = _blocks(n_paths)
     matrix[:n, :n] = a
     matrix[n:, :n] = b
     matrix[:n, n:] = b.conj().T
-    matrix[n:, n:] = np.eye(d - n) - ((n - 1) / n) * (b @ b.conj().T)
+    closing = matrix[n:, n:]
+    np.matmul(b, b.conj().T, out=closing)
+    closing *= (n - 1) / n
+    np.subtract(0.0, closing, out=closing)
+    diagonal = np.arange(d - n)
+    closing[diagonal, diagonal] += 1
     return MultiportMatrix(n_paths, matrix, basis)
 
 

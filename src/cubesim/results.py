@@ -46,7 +46,8 @@ class IFMResult:
         total = sum(probs)
         if abs(total - 1.0) > RESULT_TOL:
             raise ValueError(f"probabilities sum to {total}, expected 1")
-        if self.p_inconclusive < self.bound_value - RESULT_TOL:
+        # written as ``not (p >= bound - RESULT_TOL)`` so that a NaN bound fails
+        if not (self.p_inconclusive >= self.bound_value - RESULT_TOL):
             raise ValueError(
                 f"p_inconclusive={self.p_inconclusive} violates the lower bound "
                 f"{self.bound_value}"

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubesim.cli import _multiport_json, main, reference_checks
 from cubesim.multiport import MultiportMatrix, assemble_multiport, sub_basis
@@ -219,6 +221,20 @@ def test_multiport_json_keeps_every_float_spelling():
     expected = json.dumps(multiport_json_dict(t), sort_keys=True, indent=2)
     assert "".join(_multiport_json(t)) == expected
     assert "-0.0" in expected and "5e-324" in expected
+
+
+#: Few floats, so that pairs collide: one re with several ims, each zero
+#: sign in either slot, and values whose spellings differ in length.
+FLOAT_POOL = [0.0, -0.0, 5e-324, -5e-324, 1 / 3, -1 / 3, 1.0, 1e300]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(FLOAT_POOL), min_size=50, max_size=50))
+def test_multiport_json_matches_json_dumps_for_colliding_pairs(floats):
+    matrix = np.array(floats).view(complex).reshape(5, 5)
+    t = MultiportMatrix(3, matrix, sub_basis(3))
+    expected = json.dumps(multiport_json_dict(t), sort_keys=True, indent=2)
+    assert "".join(_multiport_json(t)) == expected
 
 
 def test_dump_matrix_rejects_non_finite_entries(capsys, tmp_path, monkeypatch):

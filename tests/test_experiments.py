@@ -291,6 +291,8 @@ def test_result_validation():
         IFMResult("cube", 3, -0.5, 1.0, 0.5, 0.0)
     with pytest.raises(ValueError, match="lower bound"):
         IFMResult("cube", 3, 0.0, 0.2, 0.8, 0.5)
+    with pytest.raises(ValueError, match="lower bound nan"):
+        IFMResult("cube", 3, 0.0, 0.5, 0.5, float("nan"))
 
 
 def test_result_json_keys():

@@ -518,6 +518,20 @@ def test_assembled_four_path_closing_block():
     np.testing.assert_allclose(assemble_multiport(4).block_d, expected, atol=1e-12)
 
 
+@pytest.mark.parametrize("n", range(3, 33))
+def test_assembled_multiport_is_bit_identical_to_the_out_of_place_formula(n):
+    # dump-matrix prints the sign of every zero, which allclose cannot see
+    a, b = _blocks(n)
+    d = sub_basis(n).dim
+    expected = np.zeros((d, d), dtype=complex)
+    expected[:n, :n] = a
+    expected[n:, :n] = b
+    expected[:n, n:] = b.conj().T
+    expected[n:, n:] = np.eye(d - n) - ((n - 1) / n) * (b @ b.conj().T)
+    actual = assemble_multiport(n).matrix
+    assert np.array_equal(actual.view(np.int64), expected.view(np.int64))
+
+
 @pytest.mark.parametrize("n", range(3, 13))
 def test_assembled_identities(n):
     t = assemble_multiport(n)
