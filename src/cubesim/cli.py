@@ -10,11 +10,12 @@ verify       residual report for assembled multiports over a range of N
 dump-matrix  serialize an assembled multiport as JSON
 
 Results go to stdout or ``--out``.  Exit codes: 0 success, 1 computation
-failure or failed checks, 2 usage error.  ``ifm`` and ``sorkin`` take a
-comparison tolerance in (0, 1) from ``--tol``, else from the environment
-variable ``CUBESIM_TOL``, else 1e-10; ``ifm --model quantum`` compares
-nothing against it.  ``verify --matrix-tol`` sets only the report's pass
-threshold.  Neither moves the fixed construction and certainty guards.
+failure or failed checks, 2 usage error.  Two settable tolerances each set
+one comparison.  ``ifm --tol``, else the environment variable
+``CUBESIM_TOL``, else 1e-10, is the largest no-bomb gap ``ifm --model
+cube`` accepts, in (0, 1); ``ifm --model quantum`` compares nothing
+against it.  ``verify --matrix-tol`` is the report's pass threshold.
+Every other check runs at a fixed tolerance.
 """
 
 from __future__ import annotations
@@ -45,7 +46,8 @@ def _parse_n_values(text: str) -> list[int]:
     try:
         if ".." in text:
             lo, hi = text.split("..")
-            values = list(range(int(lo), int(hi) + 1))
+            # lazy, so the range check below stops at the first stray value
+            values = range(int(lo), int(hi) + 1)
         elif "," in text:
             values = [int(part) for part in text.split(",")]
         else:
@@ -61,7 +63,7 @@ def _parse_n_values(text: str) -> list[int]:
             raise argparse.ArgumentTypeError(
                 f"path count {n} outside supported range {_N_RANGE[0]}..{_N_RANGE[1]}"
             )
-    return values
+    return list(values)
 
 
 def _parse_single_n(text: str) -> int:
@@ -88,8 +90,8 @@ def _above(convert, bound, below=None):
     return parse
 
 
-#: ``--tol`` and ``CUBESIM_TOL``: at 1 or above, the probability range
-#: check, the coordinate domain check and the no-bomb gap accept anything.
+#: ``ifm --tol`` and ``CUBESIM_TOL``: no state cube is further than 1
+#: from the path cube, so a gap tolerance of 1 or above would accept any.
 _tolerance = _above(float, 0, below=1)
 
 
@@ -370,12 +372,10 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
 def _cmd_sorkin(args: argparse.Namespace) -> int:
     t3 = multiport.t3_matrix()
-    inside = multiport.apply_transform(t3, basis_cube(3, 1), tol=args.tol)
-    coherent = experiments.sorkin_term(inside, t3, args.port, tol=args.tol)
+    inside = multiport.apply_transform(t3, basis_cube(3, 1))
+    coherent = experiments.sorkin_term(inside, t3, args.port)
     reference = quantum_to_cube(DensityMatrix.maximally_mixed(3))
-    quantum = experiments.sorkin_term(
-        dephase(reference), t3, args.port, tol=args.tol
-    )
+    quantum = experiments.sorkin_term(dephase(reference), t3, args.port)
     payload = {
         "n_paths": 3,
         "port": args.port,
@@ -422,12 +422,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(
-        p: argparse.ArgumentParser, formats: tuple[str, ...], tol: bool = False
-    ) -> None:
+    def common(p: argparse.ArgumentParser, formats: tuple[str, ...]) -> None:
         """Add the shared flags a subcommand honours; ``formats[0]`` is the default."""
-        if tol:
-            p.add_argument("--tol", type=_tolerance, default=None, help="comparison tolerance")
         p.add_argument("--format", choices=formats, default=formats[0], dest="output_format")
         p.add_argument("--out", default=None, help="write output to this file")
 
@@ -441,7 +437,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_reproduce)
 
     p = sub.add_parser("ifm", help="run one interaction-free measurement")
-    common(p, ("json", "csv", "pretty"), tol=True)
+    p.add_argument("--tol", type=_tolerance, default=None, help="largest accepted no-bomb gap")
+    common(p, ("json", "csv", "pretty"))
     p.add_argument("--model", choices=("quantum", "cube"), required=True)
     p.add_argument("--n", type=_parse_single_n, required=True, help="number of paths")
     p.add_argument("--seed", type=_above(int, -1), default=None, help="sample detector clicks")
@@ -456,7 +453,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_scan)
 
     p = sub.add_parser("sorkin", help="third-order interference term (N=3)")
-    common(p, ("json",), tol=True)
+    common(p, ("json",))
     p.add_argument("--n", type=int, choices=(3,), default=3)
     p.add_argument("--port", type=int, choices=(1, 2, 3), default=1)
     p.set_defaults(handler=_cmd_sorkin)
@@ -483,7 +480,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
 
-    # only the subcommands that take --tol read CUBESIM_TOL
+    # only ifm, the one subcommand that takes --tol, reads CUBESIM_TOL
     if hasattr(args, "tol") and args.tol is None:
         args.tol = DEFAULT_TOL
         env_tol = os.environ.get("CUBESIM_TOL")

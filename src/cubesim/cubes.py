@@ -88,7 +88,7 @@ def nonquantum_cube(rho: DensityMatrix, gamma: int) -> HermitianCube:
     return hermitian_complete(canonical, n, is_state=True)
 
 
-def measure_path_prob(cube: HermitianCube, path: int, tol: float = DEFAULT_TOL) -> float:
+def measure_path_prob(cube: HermitianCube, path: int) -> float:
     """Probability that a particle described by the cube is found in ``path``.
 
     Equals the inner product with the path cube, i.e. the diagonal entry
@@ -99,8 +99,8 @@ def measure_path_prob(cube: HermitianCube, path: int, tol: float = DEFAULT_TOL) 
         raise ValueError("path probabilities are defined for state cubes only")
     if not 1 <= path <= cube.n_paths:
         raise ValueError(f"path {path} out of range 1..{cube.n_paths}")
-    p = _real_product(complex(cube.entries[(path - 1,) * 3]), tol)
-    if p < -tol or p > 1.0 + tol:
+    p = _real_product(complex(cube.entries[(path - 1,) * 3]))
+    if not -DEFAULT_TOL <= p <= 1.0 + DEFAULT_TOL:
         raise ValueError(f"invalid state cube: path probability {p} outside [0, 1]")
     return min(max(p, 0.0), 1.0)
 

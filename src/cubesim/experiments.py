@@ -40,15 +40,16 @@ def run_cube_ifm(n_paths: int, tol: float = DEFAULT_TOL) -> IFMResult:
     multiport, read the bomb-path population, apply the not-found update,
     apply the multiport again and read the population of port 1 -- the
     only port the particle can reach with no bomb present, which is
-    asserted at runtime by checking that the no-bomb output cube is
-    exactly the path-1 cube.  None of these cubes carries two-path
-    coherence, which ``apply_transform`` checks.
+    asserted at runtime by checking that the no-bomb output cube is the
+    path-1 cube to within ``tol``, the only comparison ``tol`` sets.
+    None of these cubes carries two-path coherence, which
+    ``apply_transform`` checks.
     """
     transform = assemble_multiport(n_paths)
     injected = basis_cube(n_paths, 1)
-    inside = apply_transform(transform, injected, tol=tol)
+    inside = apply_transform(transform, injected)
 
-    no_bomb = apply_transform(transform, inside, tol=tol)
+    no_bomb = apply_transform(transform, inside)
     gap = float(np.abs(no_bomb.entries - injected.entries).max())
     if gap > tol:
         raise ValueError(
@@ -56,10 +57,10 @@ def run_cube_ifm(n_paths: int, tol: float = DEFAULT_TOL) -> IFMResult:
             "the single-port readout assumption does not hold"
         )
 
-    p_trigger = measure_path_prob(inside, 1, tol=tol)
+    p_trigger = measure_path_prob(inside, 1)
     updated = luders_update_cube(inside, 1, found=False)
-    out = apply_transform(transform, updated, tol=tol)
-    p_inconclusive = (1.0 - p_trigger) * measure_path_prob(out, 1, tol=tol)
+    out = apply_transform(transform, updated)
+    p_inconclusive = (1.0 - p_trigger) * measure_path_prob(out, 1)
     p_success = 1.0 - p_trigger - p_inconclusive
 
     return IFMResult(
@@ -126,12 +127,7 @@ def region_scan_csv(rows: list[tuple[int, float, float]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def sorkin_term(
-    cube: HermitianCube,
-    t2: MultiportMatrix,
-    port: int,
-    tol: float = DEFAULT_TOL,
-) -> float:
+def sorkin_term(cube: HermitianCube, t2: MultiportMatrix, port: int) -> float:
     """Third-order interference term at an output port of a 3-path setup.
 
     For each nonempty subset S of {1, 2, 3} the cube is truncated by
@@ -148,7 +144,7 @@ def sorkin_term(
     if not 1 <= port <= 3:
         raise ValueError(f"port {port} out of range 1..3")
 
-    coords = to_coords(cube, t2.basis, tol=tol)
+    coords = to_coords(cube, t2.basis)
     row = t2.matrix[port - 1]
     # the (0-based) path indices touched by each basis cube
     support = np.stack(np.unravel_index(t2.basis.cells[:, 0], (3, 3, 3)), axis=1)

@@ -169,12 +169,13 @@ def _scatter(coords: np.ndarray, basis: SubBasis) -> np.ndarray:
     return flat.reshape(coords.shape[:-1] + (n,) * 3)
 
 
-def to_coords(cube: HermitianCube, basis: SubBasis, tol: float = DEFAULT_TOL) -> np.ndarray:
+def to_coords(cube: HermitianCube, basis: SubBasis) -> np.ndarray:
     """Coordinate vector of a cube in the sub-basis ordering.
 
     The cube must have no two-path coherence (apply the dephasing map
     first if it does) and no three-path coherence missing path 1; both
-    conditions are checked and violations raise.
+    conditions are checked at the fixed ``DEFAULT_TOL`` and violations
+    raise.
     """
     if cube.n_paths != basis.n_paths:
         raise ValueError(
@@ -183,13 +184,13 @@ def to_coords(cube: HermitianCube, basis: SubBasis, tol: float = DEFAULT_TOL) ->
     entries = cube.entries
     two_path, off_support = cell_masks(basis.n_paths)
     worst = float(np.abs(entries[two_path]).max(initial=0.0))
-    if worst > tol:
+    if not worst <= DEFAULT_TOL:
         raise ValueError(
             f"cube has two-path coherence up to {worst:.3e} and lies outside "
             "the multiport domain; dephase first"
         )
     stray = float(np.abs(entries[off_support]).max(initial=0.0))
-    if stray > tol:
+    if not stray <= DEFAULT_TOL:
         raise ValueError(
             f"cube lies outside the multiport subspace (three-path coherence "
             f"{stray:.3e} on a triple without path 1); only three-path "
@@ -355,11 +356,9 @@ def assemble_multiport(n_paths: int) -> MultiportMatrix:
     return MultiportMatrix(n_paths, matrix, basis)
 
 
-def apply_transform(
-    t: MultiportMatrix, cube: HermitianCube, tol: float = DEFAULT_TOL
-) -> HermitianCube:
+def apply_transform(t: MultiportMatrix, cube: HermitianCube) -> HermitianCube:
     """Act on a cube by matrix multiplication on its coordinate vector."""
-    coords = to_coords(cube, t.basis, tol=tol)
+    coords = to_coords(cube, t.basis)
     return from_coords(t.matrix @ coords, t.basis, is_state=cube.is_state)
 
 

@@ -89,10 +89,8 @@ class HermitianCube:
         cubes) skip those checks.
 
     Every invariant is checked with the fixed slack ``DEFAULT_TOL``, which
-    absorbs rounding in the constructions; the ``tol`` arguments of the
-    operations on cubes are comparison thresholds and do not change it.
-    The checks are written as ``not (value <= bound)`` so that a NaN
-    fails them.
+    absorbs rounding in the constructions.  The checks are written as
+    ``not (value <= bound)`` so that a NaN fails them.
     """
 
     n_paths: int
@@ -142,24 +140,24 @@ class HermitianCube:
         return cube_inner(self, self)
 
 
-def cube_inner(m: HermitianCube, c: HermitianCube, tol: float = DEFAULT_TOL) -> float:
+def cube_inner(m: HermitianCube, c: HermitianCube) -> float:
     """Inner product ``(M, C) = sum_{jkl} conj(M[jkl]) C[jkl]``.
 
     Hermitian cubes form a real vector space under this product, so the
-    imaginary part of the raw sum must vanish; a residue above ``tol``
-    signals a non-Hermitian input and raises.
+    imaginary part of the raw sum must vanish; a residue above
+    ``DEFAULT_TOL`` signals a non-Hermitian input and raises.
     """
     if m.n_paths != c.n_paths:
         raise ValueError(
             f"path-count mismatch: {m.n_paths} vs {c.n_paths}"
         )
-    return _real_product(complex(np.vdot(m.entries, c.entries)), tol)
+    return _real_product(complex(np.vdot(m.entries, c.entries)))
 
 
-def _real_product(raw: complex, tol: float) -> float:
+def _real_product(raw: complex) -> float:
     """Real part of an inner product of Hermitian cubes; an imaginary
-    residue above ``tol`` signals a non-Hermitian input and raises."""
-    if abs(raw.imag) > tol:
+    residue above ``DEFAULT_TOL`` signals a non-Hermitian input and raises."""
+    if not abs(raw.imag) <= DEFAULT_TOL:
         raise ValueError(
             f"inner product has imaginary residue {raw.imag:.3e}; inputs are "
             "not Hermitian to within tolerance"

@@ -344,16 +344,25 @@ def test_flag_overrides_environment(capsys, monkeypatch):
     assert code == 0
 
 
-@pytest.mark.parametrize("env_tol", ["0", "-1.0", "not-a-number"])
-def test_env_tolerance_is_ignored_without_tol_flag(capsys, monkeypatch, env_tol):
-    argv = ("scan", "--n", "3", "--grid", "3")
+@pytest.mark.parametrize(
+    "argv, env_tol",
+    [
+        pytest.param(argv, env_tol, id=f"{prefix}{env_tol}")
+        for prefix, argv in (
+            ("", ("scan", "--n", "3", "--grid", "3")),
+            ("sorkin-", ("sorkin", "--port", "2")),
+        )
+        for env_tol in ("0", "-1.0", "not-a-number")
+    ],
+)
+def test_env_tolerance_is_ignored_without_tol_flag(capsys, monkeypatch, argv, env_tol):
     _, expected, _ = run_cli(capsys, *argv)
     monkeypatch.setenv("CUBESIM_TOL", env_tol)
     assert run_cli(capsys, *argv) == (0, expected, "")
 
 
-# Construction invariants keep their fixed 1e-10 slack, so a tight --tol only
-# tightens the comparisons it names.
+# Construction invariants keep their fixed 1e-10 slack, so a tight --tol
+# tightens only the no-bomb gap.
 CONSTRUCTION_INVARIANTS = (
     "purity",
     "diagonal sums",
@@ -367,10 +376,8 @@ CONSTRUCTION_INVARIANTS = (
 
 @pytest.mark.parametrize(
     "argv",
-    [["sorkin", "--port", str(port)] for port in (1, 2, 3)]
-    + [["ifm", "--model", "quantum", "--n", str(n)] for n in range(2, 9)],
-    ids=[f"sorkin-port{port}" for port in (1, 2, 3)]
-    + [f"quantum-n{n}" for n in range(2, 9)],
+    [["ifm", "--model", "quantum", "--n", str(n)] for n in range(2, 9)],
+    ids=[f"quantum-n{n}" for n in range(2, 9)],
 )
 def test_tight_tolerance_keeps_the_default_output(capsys, argv):
     _, expected, _ = run_cli(capsys, *argv)
@@ -390,14 +397,13 @@ TOLERANCE_COMMANDS = pytest.mark.parametrize(
     [
         ["ifm", "--model", "cube", "--n", "3"],
         ["ifm", "--model", "quantum", "--n", "3"],
-        ["sorkin", "--port", "2"],
     ],
-    ids=["cube", "quantum", "sorkin"],
+    ids=["cube", "quantum"],
 )
 
 
-# At a tolerance of 1 or more the probability range check, the coordinate
-# domain check and the no-bomb gap would accept anything.
+# At a tolerance of 1 or more the no-bomb gap, the one comparison --tol
+# sets, would accept any state cube.
 @TOLERANCE_COMMANDS
 @pytest.mark.parametrize(
     "flag, env_tol", [("1", None), ("inf", None), (None, "1"), (None, "inf")]
@@ -416,7 +422,16 @@ def test_tolerance_of_one_or_more_is_usage_error(capsys, monkeypatch, argv, flag
     assert "below 1" in captured.err
 
 
-@TOLERANCE_COMMANDS
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ifm", "--model", "cube", "--n", "3"],
+        ["ifm", "--model", "quantum", "--n", "3"],
+        ["ifm", "--model", "cube", "--n", "12"],
+        ["ifm", "--model", "cube", "--n", "32"],
+    ],
+    ids=["cube", "quantum", "cube-n12", "cube-n32"],
+)
 def test_loose_tolerance_below_one_keeps_the_default_output(capsys, argv):
     _, expected, _ = run_cli(capsys, *argv)
     assert run_cli(capsys, *argv, "--tol", "0.5") == (0, expected, "")
@@ -465,6 +480,8 @@ def test_invalid_env_tolerance_value(capsys, monkeypatch):
         (None, ["sorkin", "--n", "4"]),
         (None, ["ifm", "--model", "cube", "--n", "3", "--seed", "-1"]),
         (None, ["ifm", "--model", "cube", "--n", "3", "--seed", "1", "--shots", str(2**63)]),
+        # sorkin compares nothing against a tolerance
+        (None, ["sorkin", "--port", "1", "--tol", "1e-9"]),
     ],
 )
 def test_usage_errors_exit_2(capsys, monkeypatch, env_tol, argv):
@@ -476,6 +493,27 @@ def test_usage_errors_exit_2(capsys, monkeypatch, env_tol, argv):
         code = exc.code
     assert code == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, stray",
+    [
+        (["scan", "--n", "3..2000000"], 33),
+        (["scan", "--n=-2000000..3"], -2000000),
+    ],
+    ids=["high", "low"],
+)
+def test_wide_n_range_is_rejected_before_it_is_built(capsys, argv, stray):
+    tracemalloc.start()
+    try:
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert info.value.code == 2
+    assert f"path count {stray} outside" in capsys.readouterr().err
+    assert peak < 2**20
 
 
 def test_largest_shot_count_is_sampled(capsys):

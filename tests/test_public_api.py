@@ -42,6 +42,11 @@ def test_fixed_guards_take_no_tolerance():
         cubesim.cubes.luders_update_cube,
         cubesim.multiport.assemble_multiport,
         cubesim.results.IFMResult.is_perfect,
+        cubesim.multiport.to_coords,
+        cubesim.multiport.apply_transform,
+        cubesim.experiments.sorkin_term,
+        cubesim.cubes.measure_path_prob,
+        cubesim.tensor.cube_inner,
     ):
         assert "tol" not in inspect.signature(func).parameters, func.__qualname__
 

@@ -1,5 +1,5 @@
 import math
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations, combinations_with_replacement, permutations
 
 import numpy as np
 import pytest
@@ -76,12 +76,17 @@ def test_inner_dimension_mismatch():
 
 
 def test_inner_imaginary_residue_rejected():
-    base = interferometer_cube()
+    # each skew is within the construction tolerance, but the C(6, 3) = 20
+    # skewed orbits add up to an imaginary residue of 1e-9 in the product
+    triples = list(combinations(range(1, 7), 3))
+    base = hermitian_complete(dict.fromkeys(triples, 1.0), 6)
     entries = np.array(base.entries)
-    entries[0, 1, 2] += 5e-11j  # within construction tolerance, not exact
-    skewed = HermitianCube(3, entries)
+    for j, k, l in triples:
+        entries[j - 1, k - 1, l - 1] += 5e-11j
+    skewed = HermitianCube(6, entries)
+    assert 0 < hermiticity_violation(skewed.entries) <= DEFAULT_TOL
     with pytest.raises(ValueError, match="imaginary residue"):
-        cube_inner(skewed, base, tol=1e-13)
+        cube_inner(skewed, base)
 
 
 # --- hermiticity predicate --------------------------------------------------
