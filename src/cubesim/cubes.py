@@ -14,7 +14,7 @@ import numpy as np
 
 from .multiport import _SQRT3, _blocks, cell_masks, coherence_pairs
 from .quantum import DensityMatrix
-from .tensor import DEFAULT_TOL, HermitianCube, _real_product, hermitian_complete
+from .tensor import DEFAULT_TOL, HermitianCube, hermitian_complete
 
 _RE_WEIGHT = np.sqrt(2.0 / 3.0)
 
@@ -91,18 +91,36 @@ def nonquantum_cube(rho: DensityMatrix, gamma: int) -> HermitianCube:
 def measure_path_prob(cube: HermitianCube, path: int) -> float:
     """Probability that a particle described by the cube is found in ``path``.
 
-    Equals the inner product with the path cube, i.e. the diagonal entry
-    C[path, path, path], which is read directly; clamped to [0, 1] after
-    the checks of that inner product and a range check.
+    Equals the inner product with the path cube, i.e. the real part of the
+    diagonal entry C[path, path, path], which is read directly; clamped to
+    [0, 1] after a range check.  Construction already bounds the imaginary
+    part of a diagonal entry by ``DEFAULT_TOL / 2``.
     """
     if not cube.is_state:
         raise ValueError("path probabilities are defined for state cubes only")
     if not 1 <= path <= cube.n_paths:
         raise ValueError(f"path {path} out of range 1..{cube.n_paths}")
-    p = _real_product(complex(cube.entries[(path - 1,) * 3]))
+    return _probability(float(cube.entries[(path - 1,) * 3].real))
+
+
+def _probability(p: float) -> float:
+    """A path population clamped to [0, 1], after a range check at
+    ``DEFAULT_TOL``."""
     if not -DEFAULT_TOL <= p <= 1.0 + DEFAULT_TOL:
         raise ValueError(f"invalid state cube: path probability {p} outside [0, 1]")
     return min(max(p, 0.0), 1.0)
+
+
+def _not_found(p: float) -> float:
+    """Probability ``1 - p`` of not finding the particle in a path with
+    population ``p``; raises when the particle is certainly there, that is
+    when ``p`` is at least ``1 - DEFAULT_TOL``."""
+    if p >= 1.0 - DEFAULT_TOL:
+        raise ValueError(
+            "conditioning on a zero-probability event: the particle is certainly "
+            "in the measured path"
+        )
+    return 1.0 - p
 
 
 def luders_update_cube(cube: HermitianCube, path: int, found: bool) -> HermitianCube:
@@ -120,17 +138,12 @@ def luders_update_cube(cube: HermitianCube, path: int, found: bool) -> Hermitian
         raise ValueError(f"path {path} out of range 1..{cube.n_paths}")
     if found:
         return basis_cube(cube.n_paths, path)
-    p = float(cube.entries[path - 1, path - 1, path - 1].real)
-    if p >= 1.0 - DEFAULT_TOL:
-        raise ValueError(
-            "conditioning on a zero-probability event: the particle is certainly "
-            "in the measured path"
-        )
+    weight = _not_found(float(cube.entries[path - 1, path - 1, path - 1].real))
     entries = np.array(cube.entries)
     entries[path - 1, :, :] = 0.0
     entries[:, path - 1, :] = 0.0
     entries[:, :, path - 1] = 0.0
-    return HermitianCube(cube.n_paths, entries / (1.0 - p), is_state=True)
+    return HermitianCube(cube.n_paths, entries / weight, is_state=True)
 
 
 def dephase(cube: HermitianCube) -> HermitianCube:

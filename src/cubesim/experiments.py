@@ -11,13 +11,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .cubes import basis_cube, luders_update_cube, measure_path_prob
-from .multiport import (
-    MultiportMatrix,
-    apply_transform,
-    assemble_multiport,
-    to_coords,
-)
+from .cubes import _not_found, _probability
+from .multiport import _SQRT3, MultiportMatrix, _blocks, to_coords
 from .quantum import UnitaryMatrix, fourier_unitary, inject_first_path, quantum_ifm
 from .results import IFMResult
 from .tensor import DEFAULT_TOL, HermitianCube
@@ -42,25 +37,44 @@ def run_cube_ifm(n_paths: int, tol: float = DEFAULT_TOL) -> IFMResult:
     only port the particle can reach with no bomb present, which is
     asserted at runtime by checking that the no-bomb output cube is the
     path-1 cube to within ``tol``, the only comparison ``tol`` sets.
-    None of these cubes carries two-path coherence, which
-    ``apply_transform`` checks.
-    """
-    transform = assemble_multiport(n_paths)
-    injected = basis_cube(n_paths, 1)
-    inside = apply_transform(transform, injected)
 
-    no_bomb = apply_transform(transform, inside)
-    gap = float(np.abs(no_bomb.entries - injected.entries).max())
-    if gap > tol:
+    Every step runs on sub-basis coordinates and on the blocks A and B of
+    the multiport, in O(dN) work; no d x d matrix and no cube is built.
+    Path cube 1 has coordinates e_1, so the inside cube is column 1 of
+    ``[A; B]``.  The multiport maps populations p and coherences c to
+    ``(A p + B+ c, B p + c - k B B+ c)`` with ``k = (N-1)/N``, and the gap
+    is the largest entry of the no-bomb output minus the path cube; a
+    coherence coordinate is sqrt(3) times its cube entries.  Every
+    coherence cube of the sub-basis involves path 1, so the not-found
+    update keeps populations 2..N and renormalizes them.  P_? is row 1 of
+    the N x d product of the population rows ``[A | B+]`` with the updated
+    coordinates.  BLAS sums that row as it sums row 1 of the product with
+    the assembled d x d matrix, so the result matches the dense pipeline
+    bit for bit; a 1 x d product is one ulp off at some N.
+    """
+    n = n_paths
+    a, b = _blocks(n)
+    back = _matvec(b.conj().T, b[:, 0])
+    no_bomb_populations = _matvec(a, a[:, 0]) + back - np.eye(n)[0]
+    no_bomb_coherences = _matvec(b, a[:, 0]) + b[:, 0] - (n - 1) / n * _matvec(b, back)
+    gap = float(
+        max(
+            np.abs(no_bomb_populations).max(),
+            np.abs(no_bomb_coherences).max() / _SQRT3,
+        )
+    )
+    if not gap <= tol:
         raise ValueError(
             f"no-bomb output deviates from the injected path cube by {gap:.3e}; "
             "the single-port readout assumption does not hold"
         )
 
-    p_trigger = measure_path_prob(inside, 1)
-    updated = luders_update_cube(inside, 1, found=False)
-    out = apply_transform(transform, updated)
-    p_inconclusive = (1.0 - p_trigger) * measure_path_prob(out, 1)
+    bomb_population = float(a[0, 0])
+    p_trigger = _probability(bomb_population)
+    updated = np.zeros(len(b) + n, dtype=complex)
+    updated[1:n] = a[1:, 0] / _not_found(bomb_population)
+    out = np.hstack([a, b.conj().T]) @ updated
+    p_inconclusive = (1.0 - p_trigger) * _probability(float(out[0].real))
     p_success = 1.0 - p_trigger - p_inconclusive
 
     return IFMResult(
@@ -72,6 +86,12 @@ def run_cube_ifm(n_paths: int, tol: float = DEFAULT_TOL) -> IFMResult:
         bound_value=cube_tradeoff_bound(p_trigger, n_paths),
         label=f"cube_multiport_{n_paths}",
     )
+
+
+def _matvec(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
+    """``matrix @ vector`` as numpy's pairwise sums along contiguous rows.
+    It calls no BLAS, so its bits do not depend on the BLAS thread count."""
+    return (np.ascontiguousarray(matrix) * vector).sum(axis=1)
 
 
 def fourier_preset(n_paths: int) -> IFMResult:

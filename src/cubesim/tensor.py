@@ -151,12 +151,7 @@ def cube_inner(m: HermitianCube, c: HermitianCube) -> float:
         raise ValueError(
             f"path-count mismatch: {m.n_paths} vs {c.n_paths}"
         )
-    return _real_product(complex(np.vdot(m.entries, c.entries)))
-
-
-def _real_product(raw: complex) -> float:
-    """Real part of an inner product of Hermitian cubes; an imaginary
-    residue above ``DEFAULT_TOL`` signals a non-Hermitian input and raises."""
+    raw = complex(np.vdot(m.entries, c.entries))
     if not abs(raw.imag) <= DEFAULT_TOL:
         raise ValueError(
             f"inner product has imaginary residue {raw.imag:.3e}; inputs are "

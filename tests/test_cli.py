@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cubesim.cli import _multiport_json, main, reference_checks
@@ -237,6 +237,48 @@ def test_multiport_json_matches_json_dumps_for_colliding_pairs(floats):
     assert "".join(_multiport_json(t)) == expected
 
 
+CELLS = st.builds(complex, st.sampled_from(FLOAT_POOL), st.sampled_from(FLOAT_POOL))
+#: columns where a spliced cell is easy to misplace: the first and the last
+#: column, and the first one after the four population columns
+EDGE_COLUMNS = st.sampled_from([0, 4, 9]) | st.integers(0, 9)
+
+
+@st.composite
+def grouped_matrices(draw):
+    """10 x 10 matrices (N = 4) whose rows copy one of a few base rows and
+    then differ from it in a few cells, one row in every cell."""
+    bases = draw(st.lists(st.lists(CELLS, min_size=10, max_size=10), min_size=1, max_size=3))
+    rows = [list(draw(st.sampled_from(bases))) for _ in range(10)]
+    for row in rows:
+        for column in draw(st.lists(EDGE_COLUMNS, max_size=3)):
+            row[column] = draw(CELLS)
+    # negation flips the sign bit of both floats of every cell
+    everywhere = draw(st.integers(0, 9))
+    rows[everywhere] = [-cell for cell in rows[everywhere]]
+    return np.array(rows)
+
+
+def spliced_edges():
+    # rows 1-4 share row 0's population columns, so each is written as row
+    # 0's text with its differing cells spliced in
+    matrix = np.tile(np.resize([1 / 3, -0.0, 1e300], 10), (10, 1)).astype(complex)
+    matrix[1, 4] = -0.0
+    matrix[2, 9] = 5e-324j
+    matrix[3, [4, 9]] = -5e-324
+    matrix[4, 4:] = -matrix[4, 4:]
+    matrix[5:] = -matrix[5:]
+    return matrix
+
+
+@settings(max_examples=200, deadline=None)
+@given(grouped_matrices())
+@example(spliced_edges())
+def test_multiport_json_matches_json_dumps_for_spliced_rows(matrix):
+    t = MultiportMatrix(4, matrix, sub_basis(4))
+    expected = json.dumps(multiport_json_dict(t), sort_keys=True, indent=2)
+    assert "".join(_multiport_json(t)) == expected
+
+
 def test_dump_matrix_rejects_non_finite_entries(capsys, tmp_path, monkeypatch):
     matrix = np.array(assemble_multiport(3).matrix)
     matrix[1, 2] = np.nan
@@ -390,6 +432,15 @@ def test_tight_tolerance_names_no_construction_invariant(capsys, n, tol):
     code, _, err = run_cli(capsys, "ifm", "--model", "cube", "--n", str(n), "--tol", tol)
     assert code in (0, 1)
     assert not any(word in err for word in CONSTRUCTION_INVARIANTS)
+
+
+# README's figures: the gap is computed on the multiport blocks, 5.4e-16 at
+# N = 12 and 1.554e-15 at N = 32
+def test_cube_gap_at_the_rounding_level(capsys):
+    assert run_cli(capsys, "ifm", "--model", "cube", "--n", "12", "--tol", "1e-15")[0] == 0
+    code, out, err = run_cli(capsys, "ifm", "--model", "cube", "--n", "32", "--tol", "1e-15")
+    assert (code, out) == (1, "")
+    assert "deviates from the injected path cube by 1.554e-15" in err
 
 
 TOLERANCE_COMMANDS = pytest.mark.parametrize(

@@ -159,6 +159,18 @@ def test_measure_rejects_imaginary_diagonal_like_the_inner_product():
     assert measure_path_prob(cube, 1) == cube_inner(basis_cube(3, 1), cube) == 1.0
 
 
+# The transposition check of HermitianCube sees twice the imaginary part of a
+# diagonal entry, so construction bounds it by DEFAULT_TOL / 2 = 5e-11 and
+# measure_path_prob needs no residue check of its own.
+def test_diagonal_imaginary_part_is_bounded_at_construction():
+    entries = np.array(basis_cube(3, 1).entries)
+    entries[0, 0, 0] = 1.0 + 5e-11j
+    assert measure_path_prob(HermitianCube(3, entries, is_state=True), 1) == 1.0
+    entries[0, 0, 0] = 1.0 + 5.0000001e-11j
+    with pytest.raises(ValueError, match="not Hermitian"):
+        HermitianCube(3, entries, is_state=True)
+
+
 def test_measure_requires_state_cube():
     effect = hermitian_complete({(1, 1, 1): 1.0, (2, 2, 2): 1.0}, 2)
     with pytest.raises(ValueError, match="state cubes"):

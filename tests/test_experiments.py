@@ -1,11 +1,19 @@
+import json
 import math
 import tracemalloc
+from dataclasses import astuple
 from itertools import combinations
 
 import numpy as np
 import pytest
 
-from cubesim.cubes import basis_cube, dephase, quantum_to_cube
+from cubesim.cubes import (
+    basis_cube,
+    dephase,
+    luders_update_cube,
+    measure_path_prob,
+    quantum_to_cube,
+)
 from cubesim.experiments import (
     cube_tradeoff_bound,
     region_scan,
@@ -15,10 +23,16 @@ from cubesim.experiments import (
     sample_clicks,
     sorkin_term,
 )
-from cubesim.multiport import apply_transform, assemble_multiport, t3_matrix
+from cubesim.multiport import (
+    MultiportMatrix,
+    _blocks,
+    apply_transform,
+    assemble_multiport,
+    t3_matrix,
+)
 from cubesim.quantum import DensityMatrix
 from cubesim.results import IFMResult, results_to_csv
-from cubesim.tensor import hermitian_complete
+from cubesim.tensor import DEFAULT_TOL, HermitianCube, hermitian_complete
 
 SQRT3 = math.sqrt(3.0)
 
@@ -33,6 +47,31 @@ SQRT3 = math.sqrt(3.0)
 
 def pipeline_oracle(n):
     return 0.0, 1.0 / (n - 1), 1.0 - 1.0 / (n - 1)
+
+
+def dense_cube_ifm(n):
+    """The cube pipeline on dense cubes and the assembled d x d matrix:
+    (result, no-bomb gap).  ``run_cube_ifm`` runs the same steps on the
+    blocks A and B."""
+    transform = assemble_multiport(n)
+    injected = basis_cube(n, 1)
+    inside = apply_transform(transform, injected)
+    no_bomb = apply_transform(transform, inside)
+    gap = float(np.abs(no_bomb.entries - injected.entries).max())
+    p_trigger = measure_path_prob(inside, 1)
+    updated = luders_update_cube(inside, 1, found=False)
+    out = apply_transform(transform, updated)
+    p_inconclusive = (1.0 - p_trigger) * measure_path_prob(out, 1)
+    result = IFMResult(
+        model="cube",
+        n_paths=n,
+        p_trigger=p_trigger,
+        p_inconclusive=p_inconclusive,
+        p_success=1.0 - p_trigger - p_inconclusive,
+        bound_value=cube_tradeoff_bound(p_trigger, n),
+        label=f"cube_multiport_{n}",
+    )
+    return result, gap
 
 
 def sorkin_oracle(cube, transform, port):
@@ -86,6 +125,48 @@ def test_general_run_matches_closed_form_oracle(n):
     assert result.p_inconclusive == pytest.approx(expected[1], abs=1e-12)
     assert result.p_success == pytest.approx(expected[2], abs=1e-12)
     assert result.p_inconclusive == pytest.approx(result.bound_value, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", range(3, 33))
+def test_block_pipeline_matches_the_dense_oracle(n):
+    result = run_cube_ifm(n)
+    expected, dense_gap = dense_cube_ifm(n)
+    # json.dumps tells -0.0 from 0.0 and spells every float exactly
+    assert json.dumps(result.to_json_dict()) == json.dumps(expected.to_json_dict())
+    assert all(type(value) is float for value in astuple(result)[2:6])
+    # the block gap is computed in another order, so it may differ at the
+    # rounding level; it accepts what the dense gap accepted
+    run_cube_ifm(n, tol=dense_gap + 1e-14)
+
+
+def test_cube_run_builds_no_cube(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the cube pipeline built a dense object")
+
+    monkeypatch.setattr(HermitianCube, "__post_init__", refuse)
+    monkeypatch.setattr(MultiportMatrix, "__post_init__", refuse)
+    assert run_cube_ifm(7).p_inconclusive == pytest.approx(1.0 / 6.0, abs=1e-15)
+
+
+def test_cube_run_guards_apply_to_the_block_readout(monkeypatch):
+    # population 1 of the inside cube is A[0, 0]; make it certain, then
+    # out of range, to reach the guards that the dense pipeline ran (an
+    # infinite tolerance lets the run past the no-bomb gap)
+    def blocks(population):
+        def patched(n):
+            a, b = _blocks(n)
+            a = a.copy()
+            a[0, 0] = population
+            return a, b
+
+        return patched
+
+    monkeypatch.setattr("cubesim.experiments._blocks", blocks(1.0))
+    with pytest.raises(ValueError, match="certainly"):
+        run_cube_ifm(3, tol=math.inf)
+    monkeypatch.setattr("cubesim.experiments._blocks", blocks(1.0 + 2 * DEFAULT_TOL))
+    with pytest.raises(ValueError, match="outside"):
+        run_cube_ifm(3, tol=math.inf)
 
 
 def test_no_bomb_output_is_the_injected_cube():
@@ -232,8 +313,9 @@ def test_sorkin_rejects_two_path_coherence():
 
 
 def test_large_cube_run_stays_small_in_memory():
-    # the coordinate maps work on index tables, never on the O(N^5)
-    # dense basis stack (about 500 MB at N = 32)
+    # the pipeline works on the N x N and (d - N) x N blocks, never on the
+    # d x d matrix (14.8 MB at N = 32) or on dense N^3 cubes
+    d = 32 + 31 * 30
     tracemalloc.start()
     try:
         result = run_cube_ifm(32)
@@ -241,7 +323,7 @@ def test_large_cube_run_stays_small_in_memory():
     finally:
         tracemalloc.stop()
     assert result.p_inconclusive == pytest.approx(1.0 / 31.0, abs=1e-12)
-    assert peak < 200 * 2**20
+    assert peak < d * d * 16
 
 
 # --- quantum presets ------------------------------------------------------------------
