@@ -4,7 +4,6 @@ density-cube model with genuine three-path coherence."""
 
 from .cubes import (
     basis_cube,
-    basis_cubes,
     dephase,
     luders_update_cube,
     measure_path_prob,
@@ -70,7 +69,6 @@ __all__ = [
     "apply_transform",
     "assemble_multiport",
     "basis_cube",
-    "basis_cubes",
     "build_phase_matrix",
     "cube_inner",
     "cube_tradeoff_bound",

@@ -224,8 +224,13 @@ def reference_checks(corrupt: bool = False) -> list[Check]:
     def add(name: str, computed: float, expected: float, tol: float) -> None:
         checks.append(Check(name, float(computed), float(expected), tol))
 
+    # each N = 3..12 is assembled and run once, N = 3 for the checks below too
+    n_values = range(3, 13)
+    assembled = {n: multiport.assemble_multiport(n) for n in n_values}
+    runs = {n: experiments.run_cube_ifm(n) for n in n_values}
+
     # Three-path perfect interaction-free measurement.
-    three = experiments.run_cube_ifm(3)
+    three = runs[3]
     target = 0.5 + (1e-3 if corrupt else 0.0)
     add("3-path IFM: inconclusive probability", three.p_inconclusive, target, 1e-10)
     add("3-path IFM: trigger probability", three.p_trigger, 0.0, 1e-10)
@@ -262,10 +267,9 @@ def reference_checks(corrupt: bool = False) -> list[Check]:
     )
 
     # Assembled three-path transformation against the tabulated matrix.
-    assembled3 = multiport.assemble_multiport(3)
     add(
         "3-path multiport matches tabulated matrix",
-        float(np.abs(assembled3.matrix - t3.matrix).max()),
+        float(np.abs(assembled[3].matrix - t3.matrix).max()),
         0.0,
         1e-12,
     )
@@ -277,12 +281,12 @@ def reference_checks(corrupt: bool = False) -> list[Check]:
     spectrum_dev = 0.0
     saturation_dev = 0.0
     inconclusive = []
-    for n in range(3, 13):
-        report = multiport.verify_multiport(multiport.assemble_multiport(n))
+    for n in n_values:
+        report = multiport.verify_multiport(assembled[n])
         spectrum_dev = max(
             spectrum_dev, report.bb_spectrum_deviation, report.d_spectrum_deviation
         )
-        run = experiments.run_cube_ifm(n)
+        run = runs[n]
         inconclusive.append(run.p_inconclusive)
         saturation_dev = max(
             saturation_dev, abs(run.p_inconclusive - 1.0 / (n - 1)), run.p_trigger

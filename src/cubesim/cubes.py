@@ -14,7 +14,7 @@ import numpy as np
 
 from .multiport import _SQRT3, _blocks, cell_masks, coherence_pairs
 from .quantum import DensityMatrix
-from .tensor import DEFAULT_TOL, HermitianCube, hermitian_complete
+from .tensor import DEFAULT_TOL, HermitianCube, _check_index, hermitian_complete
 
 _RE_WEIGHT = np.sqrt(2.0 / 3.0)
 
@@ -25,14 +25,22 @@ def basis_cube(n_paths: int, path: int) -> HermitianCube:
     Serves both as the state of a particle definitely in the path and as
     the effect answering "is the particle in this path?".
     """
-    if not 1 <= path <= n_paths:
-        raise ValueError(f"path {path} out of range 1..{n_paths}")
+    _check_index(path, n_paths)
     return hermitian_complete({(path, path, path): 1.0}, n_paths, is_state=True)
 
 
-def basis_cubes(n_paths: int) -> list[HermitianCube]:
-    """All N path cubes, mutually orthonormal under the cube inner product."""
-    return [basis_cube(n_paths, path) for path in range(1, n_paths + 1)]
+def _two_path_embedding(rho: DensityMatrix, diagonal: np.ndarray, scale: float = 1.0) -> dict:
+    """Canonical entries: ``diagonal`` on each (j, j, j) and, for j < k, the
+    real and imaginary parts of rho[j,k] times ``sqrt(2/3) * scale`` on
+    (j, j, k) and (j, k, k)."""
+    weight = _RE_WEIGHT * scale
+    canonical = {}
+    for j in range(1, rho.n_paths + 1):
+        canonical[(j, j, j)] = diagonal[j - 1]
+        for k in range(j + 1, rho.n_paths + 1):
+            canonical[(j, j, k)] = weight * rho.entries[j - 1, k - 1].real
+            canonical[(j, k, k)] = weight * rho.entries[j - 1, k - 1].imag
+    return canonical
 
 
 def quantum_to_cube(rho: DensityMatrix) -> HermitianCube:
@@ -43,13 +51,7 @@ def quantum_to_cube(rho: DensityMatrix) -> HermitianCube:
     two-path entries.  The embedding preserves inner products:
     (cube(rho), cube(sigma)) = Tr(rho sigma).
     """
-    canonical: dict[tuple[int, int, int], complex] = {}
-    entries = rho.entries
-    for j in range(1, rho.n_paths + 1):
-        canonical[(j, j, j)] = entries[j - 1, j - 1].real
-        for k in range(j + 1, rho.n_paths + 1):
-            canonical[(j, j, k)] = _RE_WEIGHT * entries[j - 1, k - 1].real
-            canonical[(j, k, k)] = _RE_WEIGHT * entries[j - 1, k - 1].imag
+    canonical = _two_path_embedding(rho, rho.entries.diagonal().real)
     return hermitian_complete(canonical, rho.n_paths, is_state=True)
 
 
@@ -71,17 +73,11 @@ def nonquantum_cube(rho: DensityMatrix, gamma: int) -> HermitianCube:
             f"nonquantum cubes need at least 3 paths (no three-path slot exists "
             f"for N={n})"
         )
-    if not 1 <= gamma <= n:
-        raise ValueError(f"gamma {gamma} out of range 1..{n}")
+    _check_index(gamma, n, "gamma")
     _, coherence = _blocks(n)
     scale = 1.0 / (n - 1)
-    canonical: dict[tuple[int, int, int], complex] = {}
-    entries = rho.entries
-    for j in range(1, n + 1):
-        canonical[(j, j, j)] = scale * (1.0 - entries[j - 1, j - 1].real)
-        for k in range(j + 1, n + 1):
-            canonical[(j, j, k)] = _RE_WEIGHT * scale * entries[j - 1, k - 1].real
-            canonical[(j, k, k)] = _RE_WEIGHT * scale * entries[j - 1, k - 1].imag
+    diagonal = scale * (1.0 - rho.entries.diagonal().real)
+    canonical = _two_path_embedding(rho, diagonal, scale)
     # the first rows of the coherence block follow the pairs in order
     for (j, k), value in zip(coherence_pairs(n), coherence[:, gamma - 1]):
         canonical[(1, j, k)] = value / _SQRT3
@@ -98,8 +94,7 @@ def measure_path_prob(cube: HermitianCube, path: int) -> float:
     """
     if not cube.is_state:
         raise ValueError("path probabilities are defined for state cubes only")
-    if not 1 <= path <= cube.n_paths:
-        raise ValueError(f"path {path} out of range 1..{cube.n_paths}")
+    _check_index(path, cube.n_paths)
     return _probability(float(cube.entries[(path - 1,) * 3].real))
 
 
@@ -134,8 +129,7 @@ def luders_update_cube(cube: HermitianCube, path: int, found: bool) -> Hermitian
     """
     if not cube.is_state:
         raise ValueError("the measurement update is defined for state cubes only")
-    if not 1 <= path <= cube.n_paths:
-        raise ValueError(f"path {path} out of range 1..{cube.n_paths}")
+    _check_index(path, cube.n_paths)
     if found:
         return basis_cube(cube.n_paths, path)
     weight = _not_found(float(cube.entries[path - 1, path - 1, path - 1].real))

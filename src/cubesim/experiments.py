@@ -14,8 +14,8 @@ import numpy as np
 from .cubes import _not_found, _probability
 from .multiport import _SQRT3, MultiportMatrix, _blocks, to_coords
 from .quantum import UnitaryMatrix, fourier_unitary, inject_first_path, quantum_ifm
-from .results import IFMResult
-from .tensor import DEFAULT_TOL, HermitianCube
+from .results import IFMResult, _csv
+from .tensor import DEFAULT_TOL, HermitianCube, _check_index
 
 
 def cube_tradeoff_bound(p_trigger: float, n_paths: int) -> float:
@@ -141,10 +141,7 @@ REGION_CSV_HEADER = "n_paths,p_trigger,bound"
 
 
 def region_scan_csv(rows: list[tuple[int, float, float]]) -> str:
-    lines = [REGION_CSV_HEADER]
-    for n, p, bound in rows:
-        lines.append(f"{n},{p!r},{bound!r}")
-    return "\n".join(lines) + "\n"
+    return _csv(REGION_CSV_HEADER, rows)
 
 
 def sorkin_term(cube: HermitianCube, t2: MultiportMatrix, port: int) -> float:
@@ -161,8 +158,7 @@ def sorkin_term(cube: HermitianCube, t2: MultiportMatrix, port: int) -> float:
     """
     if cube.n_paths != 3 or t2.n_paths != 3:
         raise ValueError("the third-order term is defined for 3-path setups only")
-    if not 1 <= port <= 3:
-        raise ValueError(f"port {port} out of range 1..3")
+    _check_index(port, 3, "port")
 
     coords = to_coords(cube, t2.basis)
     row = t2.matrix[port - 1]

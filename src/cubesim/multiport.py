@@ -353,6 +353,7 @@ def assemble_multiport(n_paths: int) -> MultiportMatrix:
     np.subtract(0.0, closing, out=closing)
     diagonal = np.arange(d - n)
     closing[diagonal, diagonal] += 1
+    matrix.setflags(write=False)  # so that MultiportMatrix adopts it uncopied
     return MultiportMatrix(n_paths, matrix, basis)
 
 

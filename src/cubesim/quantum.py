@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .results import IFMResult
-from .tensor import DEFAULT_TOL, _freeze
+from .tensor import DEFAULT_TOL, _check_index, _freeze
 
 #: Threshold above which an output-port probability of the no-bomb run
 #: counts as part of the inconclusive support set.  Deliberately distinct
@@ -25,10 +25,12 @@ SUPPORT_TOL = 1e-9
 _EPS = float(np.finfo(float).eps)
 
 
-def _as_square(entries: object, what: str) -> np.ndarray:
+def _as_square(entries: object, n_paths: int, what: str) -> np.ndarray:
     arr = np.asarray(entries, dtype=complex)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"{what} must be a square matrix, got shape {arr.shape}")
+    if n_paths < 2 or arr.shape[0] != n_paths:
+        raise ValueError(f"entries shape {arr.shape} does not match n_paths={n_paths}")
     return arr
 
 
@@ -60,17 +62,14 @@ class DensityMatrix:
     _eigenvectors: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        arr = _as_square(self.entries, "density matrix")
-        if self.n_paths < 2 or arr.shape[0] != self.n_paths:
-            raise ValueError(
-                f"entries shape {arr.shape} does not match n_paths={self.n_paths}"
-            )
+        arr = _as_square(self.entries, self.n_paths, "density matrix")
         _check_hermitian_unit_trace(arr)
         eigenvalues, eigenvectors = np.linalg.eigh(arr)
         _check_lowest_eigenvalue(float(eigenvalues[0]))
         _freeze(self, "entries", arr)
-        _freeze(self, "_eigenvalues", eigenvalues)
-        _freeze(self, "_eigenvectors", eigenvectors)
+        for name, fresh in (("_eigenvalues", eigenvalues), ("_eigenvectors", eigenvectors)):
+            fresh.setflags(write=False)  # so that _freeze adopts it
+            _freeze(self, name, fresh)
 
     @classmethod
     def from_state_vector(cls, amplitudes: object) -> "DensityMatrix":
@@ -95,8 +94,7 @@ class DensityMatrix:
 
     def probability(self, path: int) -> float:
         """Population of the 1-based path."""
-        if not 1 <= path <= self.n_paths:
-            raise ValueError(f"path {path} out of range 1..{self.n_paths}")
+        _check_index(path, self.n_paths)
         return float(self.entries[path - 1, path - 1].real)
 
     def purity(self) -> float:
@@ -111,12 +109,10 @@ class UnitaryMatrix:
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = _as_square(self.entries, "unitary")
-        if self.n_paths < 2 or arr.shape[0] != self.n_paths:
-            raise ValueError(
-                f"entries shape {arr.shape} does not match n_paths={self.n_paths}"
-            )
-        residual = np.abs(arr @ arr.conj().T - np.eye(self.n_paths)).max()
+        arr = _as_square(self.entries, self.n_paths, "unitary")
+        gram = arr @ arr.conj().T
+        gram.reshape(-1)[:: self.n_paths + 1] -= 1  # subtract the identity in place
+        residual = np.abs(gram).max()
         if not residual <= DEFAULT_TOL:
             raise ValueError(f"matrix is not unitary: residual {residual:.3e}")
         _freeze(self, "entries", arr)
@@ -138,17 +134,16 @@ def inject_first_path(u1: UnitaryMatrix) -> DensityMatrix:
 
 
 def _lueders(rho: DensityMatrix, path: int) -> tuple[float, np.ndarray]:
-    """Trigger probability and validated entries of the not-found state.
+    """Trigger probability and the stack of the entries of ``rho`` and of
+    the not-found state ``rho_tilde``, which quantum_ifm's einsum reads.
 
-    The entries pass the checks of ``DensityMatrix`` with its messages.
+    ``rho_tilde`` passes the checks of ``DensityMatrix`` with its messages.
     Positivity follows from Cauchy interlacing: zeroing a row and column
     keeps every eigenvalue at or above ``min(0, lambda_min(rho))``, so the
     renormalized state's lowest eigenvalue is at least that over
     ``1 - p``.  The explicit eigenvalue check runs only when that bound
     leaves less than half of ``DEFAULT_TOL`` for solver rounding.
     """
-    if not 1 <= path <= rho.n_paths:
-        raise ValueError(f"path {path} out of range 1..{rho.n_paths}")
     p_trigger = rho.probability(path)
     if p_trigger >= 1.0 - DEFAULT_TOL:
         raise ValueError(
@@ -156,14 +151,16 @@ def _lueders(rho: DensityMatrix, path: int) -> tuple[float, np.ndarray]:
             "post-measurement state is undefined"
         )
     kept = 1.0 - p_trigger
-    tilde = rho.entries.copy()
+    states = np.empty((2,) + rho.entries.shape, dtype=complex)
+    states[:] = rho.entries
+    tilde = states[1]
     tilde[path - 1, :] = 0.0
     tilde[:, path - 1] = 0.0
     tilde /= kept
     _check_hermitian_unit_trace(tilde)
     if rho._eigenvalues[0] < -0.5 * DEFAULT_TOL * kept:
         _check_lowest_eigenvalue(float(np.linalg.eigvalsh(tilde).min()))
-    return p_trigger, tilde
+    return p_trigger, states
 
 
 def luders_remove_path(rho: DensityMatrix, path: int) -> tuple[float, DensityMatrix]:
@@ -175,8 +172,8 @@ def luders_remove_path(rho: DensityMatrix, path: int) -> tuple[float, DensityMat
     certainly in the path (population at least ``1 - DEFAULT_TOL``),
     because the post-measurement state is then undefined.
     """
-    p_trigger, tilde = _lueders(rho, path)
-    return p_trigger, DensityMatrix(rho.n_paths, tilde)
+    p_trigger, states = _lueders(rho, path)
+    return p_trigger, DensityMatrix(rho.n_paths, states[1])
 
 
 def support_projector(rho: DensityMatrix) -> np.ndarray:
@@ -196,8 +193,7 @@ def quantum_tradeoff_bounds(rho: DensityMatrix, bomb_path: int) -> tuple[float, 
     * ``bound_pure = (1 - P)^2``, the weaker convexity consequence that is
       tight for pure states.
     """
-    if not 1 <= bomb_path <= rho.n_paths:
-        raise ValueError(f"bomb_path {bomb_path} out of range 1..{rho.n_paths}")
+    _check_index(bomb_path, rho.n_paths, "bomb_path")
     p = rho.probability(bomb_path)
     overlap = float(support_projector(rho)[bomb_path - 1, bomb_path - 1].real)
     bound_support = 1.0 - 2.0 * p + p * overlap
@@ -229,13 +225,11 @@ def quantum_ifm(
             f"dimension mismatch: state has {rho_inside.n_paths} paths, "
             f"unitary has {u2.n_paths}"
         )
-    p_trigger, rho_tilde = _lueders(rho_inside, bomb_path)
+    p_trigger, states = _lueders(rho_inside, bomb_path)
 
     u = u2.entries
     # one einsum for both states; a matmul form rounds differently
-    no_bomb_probs, with_bomb_probs = np.einsum(
-        "sj,cjk,sk->cs", u, np.array((rho_inside.entries, rho_tilde)), u.conj()
-    ).real
+    no_bomb_probs, with_bomb_probs = np.einsum("sj,cjk,sk->cs", u, states, u.conj()).real
     support = no_bomb_probs > SUPPORT_TOL
     floor = rho_inside.n_paths * _EPS
     sensitive = any(floor < p < 10 * SUPPORT_TOL for p in no_bomb_probs.tolist())

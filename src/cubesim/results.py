@@ -74,12 +74,17 @@ class IFMResult:
 RESULT_CSV_HEADER = "model,n_paths,p_trigger,p_inconclusive,p_success,bound"
 
 
+def _csv(header: str, rows: list[tuple]) -> str:
+    """The header line, then each row's values joined by ','.  A value
+    prints as ``str`` gives it, which for a Python float is ``repr``: the
+    shortest text that reads back to the same float."""
+    return "\n".join([header, *(",".join(map(str, row)) for row in rows)]) + "\n"
+
+
 def results_to_csv(results: list[IFMResult]) -> str:
     """CSV table with one row per run ('.' decimal separator, ',' delimiter)."""
-    lines = [RESULT_CSV_HEADER]
-    for r in results:
-        lines.append(
-            f"{r.model},{r.n_paths},{r.p_trigger!r},{r.p_inconclusive!r},"
-            f"{r.p_success!r},{r.bound_value!r}"
-        )
-    return "\n".join(lines) + "\n"
+    rows = [
+        (r.model, r.n_paths, r.p_trigger, r.p_inconclusive, r.p_success, r.bound_value)
+        for r in results
+    ]
+    return _csv(RESULT_CSV_HEADER, rows)

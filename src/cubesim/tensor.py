@@ -41,11 +41,19 @@ _TRANSPOSITIONS = ((1, 0, 2), (0, 2, 1), (2, 1, 0))
 
 
 def _freeze(obj: object, name: str, arr: np.ndarray) -> None:
-    """Store a read-only copy of ``arr`` as field ``name`` of the frozen
-    dataclass ``obj``; the validated value types call this last."""
-    arr = arr.copy()
-    arr.setflags(write=False)
+    """Store ``arr`` read-only as field ``name`` of the frozen dataclass
+    ``obj``; the validated value types call this last.  An array that is
+    read-only and owns its data is adopted; anything else is copied."""
+    if arr.flags.writeable or not arr.flags.owndata:
+        arr = arr.copy()
+        arr.setflags(write=False)
     object.__setattr__(obj, name, arr)
+
+
+def _check_index(value: int, n: int, name: str = "path") -> None:
+    """Raise unless the 1-based index ``value`` lies in 1..n."""
+    if not 1 <= value <= n:
+        raise ValueError(f"{name} {value} out of range 1..{n}")
 
 
 def _as_cube_array(tensor: object) -> np.ndarray:
@@ -125,10 +133,7 @@ class HermitianCube:
     def entry(self, j: int, k: int, l: int) -> complex:
         """Entry at 1-based semantic indices (j, k, l)."""
         for index in (j, k, l):
-            if not 1 <= index <= self.n_paths:
-                raise ValueError(
-                    f"index {index} out of range 1..{self.n_paths}"
-                )
+            _check_index(index, self.n_paths, "index")
         return complex(self.entries[j - 1, k - 1, l - 1])
 
     def diagonal(self) -> np.ndarray:

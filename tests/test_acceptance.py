@@ -5,9 +5,6 @@ pass/fail lines (a line is printed only after its assertions pass; a
 failing criterion shows up as an ordinary pytest failure).
 """
 
-import math
-from itertools import permutations
-
 import numpy as np
 import pytest
 
@@ -34,26 +31,11 @@ from cubesim.quantum import (
     random_unitary,
 )
 from cubesim.tensor import cube_inner
-
-SQRT3 = math.sqrt(3.0)
+from oracles import SQRT3, oracle_complete
 
 
 def report(number: int, message: str) -> None:
     print(f"criterion {number:2d}: PASS - {message}")
-
-
-def oracle_complete(canonical, n):
-    out = np.zeros((n, n, n), dtype=complex)
-    for (j, k, l), value in canonical.items():
-        base = (j - 1, k - 1, l - 1)
-        for perm in permutations(range(3)):
-            inversions = sum(
-                1 for a in range(3) for b in range(a + 1, 3) if perm[a] > perm[b]
-            )
-            out[tuple(base[p] for p in perm)] = (
-                value if inversions % 2 == 0 else np.conj(value)
-            )
-    return out
 
 
 def test_criterion_1_three_path_perfect_ifm():

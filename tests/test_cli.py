@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cubesim import cli
 from cubesim.cli import _multiport_json, main, reference_checks
 from cubesim.multiport import MultiportMatrix, assemble_multiport, sub_basis
 
@@ -367,6 +368,19 @@ def test_reference_checks_cover_key_values():
     assert checks["2-path bomb tester: trigger probability"].expected == 0.5
     assert checks["third-order term of the 3-path coherent cube"].expected == 0.5
     assert all(c.passed for c in checks.values())
+
+
+def test_reference_checks_assemble_and_run_each_n_once(monkeypatch):
+    calls = []
+    for module, name in ((cli.multiport, "assemble_multiport"), (cli.experiments, "run_cube_ifm")):
+        def counted(n, _original=getattr(module, name), _name=name):
+            calls.append((_name, n))
+            return _original(n)
+
+        monkeypatch.setattr(module, name, counted)
+    assert all(c.passed for c in reference_checks())
+    for name in ("assemble_multiport", "run_cube_ifm"):
+        assert sorted(n for called, n in calls if called == name) == list(range(3, 13))
 
 
 # --- configuration ----------------------------------------------------------------

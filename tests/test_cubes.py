@@ -5,7 +5,6 @@ import pytest
 
 from cubesim.cubes import (
     basis_cube,
-    basis_cubes,
     dephase,
     luders_update_cube,
     measure_path_prob,
@@ -15,16 +14,14 @@ from cubesim.cubes import (
 from cubesim.multiport import optimal_cubes
 from cubesim.quantum import DensityMatrix, random_density_matrix, random_pure_state
 from cubesim.tensor import HermitianCube, cube_inner, hermitian_complete
+from oracles import interferometer_cube
 
 SQRT23 = math.sqrt(2.0 / 3.0)
 
 
-def interferometer_cube():
-    return hermitian_complete(
-        {(2, 2, 2): 0.5, (3, 3, 3): 0.5, (1, 2, 3): 1.0 / (2.0 * math.sqrt(3.0))},
-        3,
-        is_state=True,
-    )
+def basis_cubes(n_paths):
+    """All N path cubes, mutually orthonormal under the cube inner product."""
+    return [basis_cube(n_paths, path) for path in range(1, n_paths + 1)]
 
 
 # --- basis cubes --------------------------------------------------------------

@@ -33,8 +33,7 @@ from cubesim.multiport import (
 from cubesim.quantum import DensityMatrix
 from cubesim.results import IFMResult, results_to_csv
 from cubesim.tensor import DEFAULT_TOL, HermitianCube, hermitian_complete
-
-SQRT3 = math.sqrt(3.0)
+from oracles import interferometer_cube
 
 
 # --- independent oracles ------------------------------------------------------
@@ -95,14 +94,6 @@ def sorkin_oracle(cube, transform, port):
     for single in combinations((1, 2, 3), 1):
         total += intensity(single)
     return total
-
-
-def interferometer_cube():
-    return hermitian_complete(
-        {(2, 2, 2): 0.5, (3, 3, 3): 0.5, (1, 2, 3): 1.0 / (2.0 * SQRT3)},
-        3,
-        is_state=True,
-    )
 
 
 # --- cube pipeline --------------------------------------------------------------
@@ -397,6 +388,13 @@ def test_results_csv():
     lines = text.strip().split("\n")
     assert lines[0] == "model,n_paths,p_trigger,p_inconclusive,p_success,bound"
     assert lines[1].startswith("cube,3,0.0,0.5,0.5,0.5")
+
+
+def test_results_csv_prints_numpy_floats_as_plain_numbers():
+    # numpy 2's repr of a float64 is "np.float64(0.5)"; a CSV cell is "0.5"
+    half = np.float64(0.5)
+    record = IFMResult("cube", 3, np.float64(0.0), half, half, half)
+    assert results_to_csv([record]).split("\n")[1] == "cube,3,0.0,0.5,0.5,0.5"
 
 
 # --- click sampler -------------------------------------------------------------------------

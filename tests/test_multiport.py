@@ -1,6 +1,6 @@
 import math
+import tracemalloc
 from dataclasses import replace
-from itertools import permutations
 
 import numpy as np
 import pytest
@@ -26,8 +26,7 @@ from cubesim.multiport import (
 )
 from cubesim.quantum import DensityMatrix
 from cubesim.tensor import DEFAULT_TOL, cube_inner, hermitian_complete, hermiticity_violation
-
-SQRT3 = math.sqrt(3.0)
+from oracles import SQRT3, interferometer_cube, oracle_complete
 
 
 def hermitian_sqrt(matrix, tol=DEFAULT_TOL):
@@ -83,19 +82,6 @@ N4_PHASES = np.array(
     ],
     dtype=complex,
 )
-
-
-def oracle_complete(canonical, n):
-    out = np.zeros((n, n, n), dtype=complex)
-    for (j, k, l), value in canonical.items():
-        base = (j - 1, k - 1, l - 1)
-        for perm in permutations(range(3)):
-            inversions = sum(
-                1 for a in range(3) for b in range(a + 1, 3) if perm[a] > perm[b]
-            )
-            pos = tuple(base[p] for p in perm)
-            out[pos] = value if inversions % 2 == 0 else np.conj(value)
-    return out
 
 
 def tabulated_four_path_cubes():
@@ -177,14 +163,6 @@ def alternative_multiport_n4(variant):
     matrix = np.array(base.matrix)
     matrix[4:, 4:] = alternative_d_blocks_n4()[variant - 1]
     return replace(base, matrix=matrix)
-
-
-def interferometer_cube():
-    return hermitian_complete(
-        {(2, 2, 2): 0.5, (3, 3, 3): 0.5, (1, 2, 3): 1.0 / (2.0 * SQRT3)},
-        3,
-        is_state=True,
-    )
 
 
 # --- sub-basis ------------------------------------------------------------------
@@ -530,6 +508,30 @@ def test_assembled_multiport_is_bit_identical_to_the_out_of_place_formula(n):
     expected[n:, n:] = np.eye(d - n) - ((n - 1) / n) * (b @ b.conj().T)
     actual = assemble_multiport(n).matrix
     assert np.array_equal(actual.view(np.int64), expected.view(np.int64))
+
+
+def test_assembly_holds_the_matrix_once():
+    tracemalloc.start()
+    try:
+        t = assemble_multiport(32)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * t.matrix.nbytes
+
+
+def test_writable_matrix_is_copied_and_read_only_owner_adopted():
+    basis = sub_basis(3)
+    matrix = np.array(t3_matrix().matrix)
+    t = MultiportMatrix(3, matrix, basis)
+    assert not np.shares_memory(t.matrix, matrix) and not t.matrix.flags.writeable
+    matrix[0, 0] = 7.0
+    assert t.matrix[0, 0] == 0.0
+    view = matrix[:, :]
+    view.setflags(write=False)
+    assert not np.shares_memory(MultiportMatrix(3, view, basis).matrix, matrix)
+    matrix.setflags(write=False)
+    assert MultiportMatrix(3, matrix, basis).matrix is matrix
 
 
 @pytest.mark.parametrize("n", range(3, 13))

@@ -25,6 +25,11 @@ def test_phase_function_knob_is_gone():
     assert list(inspect.signature(cubesim.nonquantum_cube).parameters) == ["rho", "gamma"]
 
 
+def test_basis_cubes_left_the_package():
+    assert not hasattr(cubesim, "basis_cubes") and "basis_cubes" not in cubesim.__all__
+    assert not hasattr(cubesim.cubes, "basis_cubes")
+
+
 def test_phase_table_is_a_plain_array():
     for name in ("PhaseMatrix", "alternative_d_blocks_n4", "alternative_multiport_n4"):
         assert not hasattr(cubesim, name) and name not in cubesim.__all__

@@ -1,11 +1,11 @@
-import math
-from itertools import combinations, combinations_with_replacement, permutations
+from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cubesim import cubes, experiments, multiport, quantum
 from cubesim.quantum import DensityMatrix, UnitaryMatrix, fourier_unitary
 from cubesim.tensor import (
     DEFAULT_TOL,
@@ -14,40 +14,11 @@ from cubesim.tensor import (
     hermitian_complete,
     hermiticity_violation,
 )
-
-SQRT3 = math.sqrt(3.0)
-
-
-# --- independent oracle -----------------------------------------------------
-# Completes a canonical-entry map by enumerating all index permutations and
-# conjugating according to the sign of the permutation, computed by counting
-# inversions (no shared code with the implementation's fixed table).
-
-def oracle_complete(canonical, n):
-    out = np.zeros((n, n, n), dtype=complex)
-    for (j, k, l), value in canonical.items():
-        base = (j - 1, k - 1, l - 1)
-        for perm in permutations(range(3)):
-            inversions = sum(
-                1 for a in range(3) for b in range(a + 1, 3) if perm[a] > perm[b]
-            )
-            pos = tuple(base[p] for p in perm)
-            out[pos] = value if inversions % 2 == 0 else np.conj(value)
-    return out
+from oracles import SQRT3, interferometer_cube, oracle_complete
 
 
 def unit_cube(path, n=3):
     return hermitian_complete({(path, path, path): 1.0}, n, is_state=True)
-
-
-def interferometer_cube():
-    # pure 3-path cube: populations 1/2 on paths 2 and 3, all six
-    # three-distinct-index entries equal to 1/(2 sqrt(3))
-    return hermitian_complete(
-        {(2, 2, 2): 0.5, (3, 3, 3): 0.5, (1, 2, 3): 1.0 / (2.0 * SQRT3)},
-        3,
-        is_state=True,
-    )
 
 
 # --- inner product ----------------------------------------------------------
@@ -290,6 +261,55 @@ def test_entry_accessor_is_one_based():
         cube.entry(0, 1, 1)
     with pytest.raises(ValueError, match="out of range"):
         cube.entry(1, 2, 4)
+
+
+# Every 1-based index check, with the message it raises for a value outside
+# 1..N; quantum_ifm's bomb path is checked by DensityMatrix.probability.
+INDEX_SITES = {
+    "basis_cube": (lambda: cubes.basis_cube(3, 4), "path 4 out of range 1..3"),
+    "measure_path_prob": (
+        lambda: cubes.measure_path_prob(interferometer_cube(), 0),
+        "path 0 out of range 1..3",
+    ),
+    "luders_update_cube": (
+        lambda: cubes.luders_update_cube(interferometer_cube(), 4, found=False),
+        "path 4 out of range 1..3",
+    ),
+    "nonquantum_cube": (
+        lambda: cubes.nonquantum_cube(DensityMatrix.maximally_mixed(3), 0),
+        "gamma 0 out of range 1..3",
+    ),
+    "DensityMatrix.probability": (
+        lambda: DensityMatrix.maximally_mixed(2).probability(3),
+        "path 3 out of range 1..2",
+    ),
+    "quantum_tradeoff_bounds": (
+        lambda: quantum.quantum_tradeoff_bounds(DensityMatrix.maximally_mixed(3), 5),
+        "bomb_path 5 out of range 1..3",
+    ),
+    "quantum_ifm": (
+        lambda: quantum.quantum_ifm(
+            DensityMatrix.maximally_mixed(3), fourier_unitary(3), bomb_path=0
+        ),
+        "path 0 out of range 1..3",
+    ),
+    "sorkin_term": (
+        lambda: experiments.sorkin_term(interferometer_cube(), multiport.t3_matrix(), 4),
+        "port 4 out of range 1..3",
+    ),
+    "HermitianCube.entry": (
+        lambda: interferometer_cube().entry(1, 2, 4),
+        "index 4 out of range 1..3",
+    ),
+}
+
+
+@pytest.mark.parametrize("site", sorted(INDEX_SITES))
+def test_index_checks_share_one_message(site):
+    call, message = INDEX_SITES[site]
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
 
 
 def test_empty_canonical_map_yields_zero_cube():
