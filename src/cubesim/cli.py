@@ -213,12 +213,8 @@ class Check:
         return abs(self.computed - self.expected) <= self.tolerance
 
 
-def reference_checks(corrupt: bool = False) -> list[Check]:
-    """All reference checks backing the ``reproduce`` subcommand.
-
-    ``corrupt=True`` perturbs one stored expectation; it exists so the
-    nonzero-exit path can be exercised without breaking the package.
-    """
+def reference_checks() -> list[Check]:
+    """All reference checks backing the ``reproduce`` subcommand."""
     checks: list[Check] = []
 
     def add(name: str, computed: float, expected: float, tol: float) -> None:
@@ -231,8 +227,7 @@ def reference_checks(corrupt: bool = False) -> list[Check]:
 
     # Three-path perfect interaction-free measurement.
     three = runs[3]
-    target = 0.5 + (1e-3 if corrupt else 0.0)
-    add("3-path IFM: inconclusive probability", three.p_inconclusive, target, 1e-10)
+    add("3-path IFM: inconclusive probability", three.p_inconclusive, 0.5, 1e-10)
     add("3-path IFM: trigger probability", three.p_trigger, 0.0, 1e-10)
     add(
         "3-path IFM: saturates the trade-off bound",
@@ -377,7 +372,7 @@ def _format_checks(checks: list[Check], fmt: str) -> str:
 # subcommand handlers
 
 def _cmd_reproduce(args: argparse.Namespace) -> int:
-    checks = reference_checks(corrupt=args.corrupt)
+    checks = reference_checks()
     _emit(_format_checks(checks, args.output_format), args.out)
     return 0 if all(c.passed for c in checks) else 1
 
@@ -403,9 +398,8 @@ def _cmd_ifm(args: argparse.Namespace) -> int:
 def _cmd_scan(args: argparse.Namespace) -> int:
     rows = experiments.region_scan(args.n, args.grid)
     if args.output_format == "json":
-        payload = [
-            {"n_paths": n, "p_trigger": p, "bound": bound} for n, p, bound in rows
-        ]
+        keys = experiments.REGION_CSV_HEADER.split(",")
+        payload = [dict(zip(keys, row)) for row in rows]
         _emit(_json_dump(payload), args.out)
     else:
         _emit(experiments.region_scan_csv(rows), args.out)
@@ -471,11 +465,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reproduce", help="run the built-in reference checks")
     common(p, ("pretty", "json"))
-    p.add_argument(
-        "--corrupt",
-        action="store_true",
-        help="test mode: perturb one stored constant so a check fails",
-    )
     p.set_defaults(handler=_cmd_reproduce)
 
     p = sub.add_parser("ifm", help="run one interaction-free measurement")
@@ -496,7 +485,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sorkin", help="third-order interference term (N=3)")
     common(p, ("json",))
-    p.add_argument("--n", type=int, choices=(3,), default=3)
     p.add_argument("--port", type=int, choices=(1, 2, 3), default=1)
     p.set_defaults(handler=_cmd_sorkin)
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .multiport import _SQRT3, _blocks, cell_masks, coherence_pairs
 from .quantum import DensityMatrix
-from .tensor import DEFAULT_TOL, HermitianCube, _check_index, hermitian_complete
+from .tensor import DEFAULT_TOL, HermitianCube, _check_index, _check_paths, hermitian_complete
 
 _RE_WEIGHT = np.sqrt(2.0 / 3.0)
 
@@ -68,11 +68,7 @@ def nonquantum_cube(rho: DensityMatrix, gamma: int) -> HermitianCube:
     ``nonquantum_cube(path_state(N, n), gamma=n)`` is optimal cube n.
     """
     n = rho.n_paths
-    if n < 3:
-        raise ValueError(
-            f"nonquantum cubes need at least 3 paths (no three-path slot exists "
-            f"for N={n})"
-        )
+    _check_paths(n, 3)  # no three-path slot exists for N = 2
     _check_index(gamma, n, "gamma")
     _, coherence = _blocks(n)
     scale = 1.0 / (n - 1)
@@ -92,10 +88,16 @@ def measure_path_prob(cube: HermitianCube, path: int) -> float:
     [0, 1] after a range check.  Construction already bounds the imaginary
     part of a diagonal entry by ``DEFAULT_TOL / 2``.
     """
-    if not cube.is_state:
-        raise ValueError("path probabilities are defined for state cubes only")
+    _require_state(cube, "path probabilities are")
     _check_index(path, cube.n_paths)
     return _probability(float(cube.entries[(path - 1,) * 3].real))
+
+
+def _require_state(cube: HermitianCube, what: str) -> None:
+    """Raise unless ``cube`` is a state cube; ``what`` names the operation
+    and its verb, as in ``"dephasing is"``."""
+    if not cube.is_state:
+        raise ValueError(f"{what} defined for state cubes only")
 
 
 def _probability(p: float) -> float:
@@ -127,8 +129,7 @@ def luders_update_cube(cube: HermitianCube, path: int, found: bool) -> Hermitian
     population; conditioning on an impossible not-found outcome (path
     population at least ``1 - DEFAULT_TOL``) raises.
     """
-    if not cube.is_state:
-        raise ValueError("the measurement update is defined for state cubes only")
+    _require_state(cube, "the measurement update is")
     _check_index(path, cube.n_paths)
     if found:
         return basis_cube(cube.n_paths, path)
@@ -146,8 +147,7 @@ def dephase(cube: HermitianCube) -> HermitianCube:
     Zeroes every entry whose index triple has exactly two equal indices.
     Idempotent, and maps any state cube into the multiport domain.
     """
-    if not cube.is_state:
-        raise ValueError("dephasing is defined for state cubes only")
+    _require_state(cube, "dephasing is")
     two_path, _ = cell_masks(cube.n_paths)
     entries = np.where(two_path, 0.0, cube.entries)
     return HermitianCube(cube.n_paths, entries, is_state=True)

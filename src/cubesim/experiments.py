@@ -15,7 +15,7 @@ from .cubes import _not_found, _probability
 from .multiport import _SQRT3, MultiportMatrix, _blocks, to_coords
 from .quantum import UnitaryMatrix, fourier_unitary, inject_first_path, quantum_ifm
 from .results import IFMResult, _csv
-from .tensor import DEFAULT_TOL, HermitianCube, _check_index
+from .tensor import DEFAULT_TOL, HermitianCube, _check_index, _check_paths
 
 
 def cube_tradeoff_bound(p_trigger: float, n_paths: int) -> float:
@@ -23,8 +23,7 @@ def cube_tradeoff_bound(p_trigger: float, n_paths: int) -> float:
     probability.  For N = 2 it coincides with the quantum pure-state bound."""
     if not 0.0 <= p_trigger <= 1.0:
         raise ValueError(f"p_trigger must lie in [0, 1], got {p_trigger}")
-    if n_paths < 2:
-        raise ValueError(f"n_paths must be at least 2, got {n_paths}")
+    _check_paths(n_paths, 2)
     return (1.0 - p_trigger) ** 2 / (n_paths - 1)
 
 

@@ -32,11 +32,11 @@ tabulated four-path cube family entry for entry.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .tensor import DEFAULT_TOL, HermitianCube, _freeze, hermitian_complete
+from .tensor import _CYCLES, DEFAULT_TOL, HermitianCube, _check_paths, _freeze, hermitian_complete
 
 #: Tolerance of the multiport identities: the fixed construction check of
 #: B+B and B 1 (entrywise) and the default pass threshold of the Frobenius
@@ -63,8 +63,7 @@ def fourier_row_exponents(n_paths: int) -> list[int]:
     N-2 copies of the rows q = 1..(N-1)/2.  Row r of the phase matrix
     carries phases ``w^(q_r * (n-1))`` across the columns n = 1..N.
     """
-    if n_paths < 3:
-        raise ValueError(f"need at least 3 paths, got {n_paths}")
+    _check_paths(n_paths, 3)
     if n_paths % 2 == 0:
         block = list(range(1, n_paths))
         copies = (n_paths - 2) // 2
@@ -140,8 +139,7 @@ class SubBasis:
 
 def sub_basis(n_paths: int) -> SubBasis:
     """Basis cubes of the multiport subspace for an N-path interferometer."""
-    if n_paths < 3:
-        raise ValueError(f"need at least 3 paths, got {n_paths}")
+    _check_paths(n_paths, 3)
     n = n_paths
     labels = [f"path_{path}" for path in range(1, n + 1)]
     triples = [(path, path, path) for path in range(n)]
@@ -151,8 +149,8 @@ def sub_basis(n_paths: int) -> SubBasis:
             labels.append(f"coherence_{first}_{second}")
             triples.append((0, first - 1, second - 1))
     # the cyclic images (j, k, l), (k, l, j), (l, j, k) of each support triple
-    shifted = [np.roll(triples, -shift, axis=1).T for shift in range(3)]
-    cells = np.stack([np.ravel_multi_index(tuple(t), (n,) * 3) for t in shifted], 1)
+    slots = np.array(triples).T
+    cells = np.stack([np.ravel_multi_index(slots[list(c)], (n,) * 3) for c in _CYCLES], 1)
     scale = np.where(np.arange(len(labels)) < n, 1.0, _SQRT3)
     cells.setflags(write=False)
     scale.setflags(write=False)
@@ -382,17 +380,21 @@ class MultiportReport:
     bb_spectrum_deviation: float
 
     def worst(self) -> float:
-        return max(
-            self.adjoint_residual,
-            self.involution_residual,
-            self.pairing_violation,
-            self.diagonal_sum_drift,
-            self.d_spectrum_deviation,
-            self.bb_spectrum_deviation,
-        )
+        # numpy's max, unlike the builtin, propagates a NaN from any field
+        return float(np.max(astuple(self)[1:]))
 
     def passes(self, tol: float = MATRIX_TOL) -> bool:
         return self.worst() <= tol
+
+
+def _spectrum_deviation(block: np.ndarray, admissible: tuple[float, float]) -> float:
+    """Largest distance from an eigenvalue of the Hermitian ``block`` to the
+    nearer of the two ``admissible`` values; NaN, with no eigensolver call,
+    when the block has a non-finite entry."""
+    if not np.isfinite(block).all():
+        return float("nan")
+    eigs = np.linalg.eigvalsh(block)
+    return float(np.minimum(*(np.abs(eigs - value) for value in admissible)).max())
 
 
 def verify_multiport(t: MultiportMatrix) -> MultiportReport:
@@ -415,19 +417,15 @@ def verify_multiport(t: MultiportMatrix) -> MultiportReport:
     involution = float(np.linalg.norm(m @ m - np.eye(d)))
     adjoint = float(np.linalg.norm(m - m.conj().T))
 
-    swap = np.r_[:n, np.roll(np.arange(n, d), (d - n) // 2)]
+    mid = (n + d) // 2
+    swap = np.r_[:n, mid:d, n:mid]
     # numpy's max, unlike the builtin, propagates a NaN
     pairing = np.abs(m - np.conj(m[np.ix_(swap, swap)])).max()
     drift = np.abs(m[:n].sum(axis=0) - (np.arange(d) < n)).max()
 
-    inverse_weight = 1.0 / (n - 1)
-    d_eigs = np.linalg.eigvalsh(t.block_d)
-    d_dev = float(
-        np.minimum(np.abs(d_eigs - 1.0), np.abs(d_eigs - inverse_weight)).max()
-    )
-    gram_eigs = np.linalg.eigvalsh(t.block_b.conj().T @ t.block_b)
-    bb_target = n * (n - 2) / (n - 1) ** 2
-    bb_dev = float(np.minimum(np.abs(gram_eigs), np.abs(gram_eigs - bb_target)).max())
+    d_dev = _spectrum_deviation(t.block_d, (1.0, 1.0 / (n - 1)))
+    gram = t.block_b.conj().T @ t.block_b
+    bb_dev = _spectrum_deviation(gram, (0.0, n * (n - 2) / (n - 1) ** 2))
 
     return MultiportReport(
         n_paths=n,

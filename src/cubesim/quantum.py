@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .results import IFMResult
-from .tensor import DEFAULT_TOL, _check_index, _freeze
+from .tensor import DEFAULT_TOL, _check_index, _check_paths, _freeze
 
 #: Threshold above which an output-port probability of the no-bomb run
 #: counts as part of the inconclusive support set.  Deliberately distinct
@@ -29,7 +29,8 @@ def _as_square(entries: object, n_paths: int, what: str) -> np.ndarray:
     arr = np.asarray(entries, dtype=complex)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"{what} must be a square matrix, got shape {arr.shape}")
-    if n_paths < 2 or arr.shape[0] != n_paths:
+    _check_paths(n_paths, 2)
+    if arr.shape[0] != n_paths:
         raise ValueError(f"entries shape {arr.shape} does not match n_paths={n_paths}")
     return arr
 
@@ -121,8 +122,7 @@ class UnitaryMatrix:
 def fourier_unitary(n: int) -> UnitaryMatrix:
     """Discrete Fourier transform on n paths, entries ``w^(jk) / sqrt(n)``
     with ``w = exp(i 2 pi / n)`` and 0-based exponents."""
-    if n < 2:
-        raise ValueError(f"need at least 2 paths, got {n}")
+    _check_paths(n, 2)
     j, k = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
     return UnitaryMatrix(n, np.exp(2j * np.pi * j * k / n) / np.sqrt(n))
 

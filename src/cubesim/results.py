@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+
+from .tensor import _check_paths
 
 #: Slack allowed when validating probability normalization and bounds on a
 #: result record.  Looser than the entrywise tolerance because randomized
@@ -37,8 +39,7 @@ class IFMResult:
     def __post_init__(self) -> None:
         if self.model not in _MODELS:
             raise ValueError(f"model must be one of {_MODELS}, got {self.model!r}")
-        if self.n_paths < 2:
-            raise ValueError(f"n_paths must be at least 2, got {self.n_paths}")
+        _check_paths(self.n_paths, 2)
         probs = (self.p_trigger, self.p_inconclusive, self.p_success)
         for name, p in zip(("p_trigger", "p_inconclusive", "p_success"), probs):
             if not -RESULT_TOL <= p <= 1.0 + RESULT_TOL:
@@ -59,16 +60,8 @@ class IFMResult:
         return self.p_trigger < RESULT_TOL and self.p_inconclusive < 1.0 - RESULT_TOL
 
     def to_json_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "n_paths": self.n_paths,
-            "p_trigger": self.p_trigger,
-            "p_inconclusive": self.p_inconclusive,
-            "p_success": self.p_success,
-            "bound": self.bound_value,
-            "label": self.label,
-            "support_sensitive": self.support_sensitive,
-        }
+        """The fields in order, with ``bound_value`` under the key ``bound``."""
+        return {("bound" if k == "bound_value" else k): v for k, v in asdict(self).items()}
 
 
 RESULT_CSV_HEADER = "model,n_paths,p_trigger,p_inconclusive,p_success,bound"
@@ -83,8 +76,6 @@ def _csv(header: str, rows: list[tuple]) -> str:
 
 def results_to_csv(results: list[IFMResult]) -> str:
     """CSV table with one row per run ('.' decimal separator, ',' delimiter)."""
-    rows = [
-        (r.model, r.n_paths, r.p_trigger, r.p_inconclusive, r.p_success, r.bound_value)
-        for r in results
-    ]
-    return _csv(RESULT_CSV_HEADER, rows)
+    keys = RESULT_CSV_HEADER.split(",")
+    records = map(IFMResult.to_json_dict, results)
+    return _csv(RESULT_CSV_HEADER, [[record[key] for key in keys] for record in records])

@@ -24,8 +24,8 @@ import numpy as np
 #: and matrix square roots, so exact equality is never required.
 DEFAULT_TOL = 1e-10
 
-# All slot permutations of an index triple with their signs.  The identity
-# comes first so that completion writes a canonical entry before its copies.
+# Slot permutations of an index triple with their signs: the cyclic ones,
+# identity first so completion writes a canonical entry before its copies.
 _TRIPLE_PERMS: tuple[tuple[tuple[int, int, int], int], ...] = (
     ((0, 1, 2), +1),
     ((1, 2, 0), +1),
@@ -35,9 +35,9 @@ _TRIPLE_PERMS: tuple[tuple[tuple[int, int, int], int], ...] = (
     ((2, 1, 0), -1),
 )
 
-# The three index transpositions; checking these suffices because even
-# permutations are products of two of them.
-_TRANSPOSITIONS = ((1, 0, 2), (0, 2, 1), (2, 1, 0))
+_CYCLES = tuple(perm for perm, sign in _TRIPLE_PERMS if sign > 0)
+# Checking the transpositions suffices: even permutations are products of two.
+_TRANSPOSITIONS = tuple(perm for perm, sign in _TRIPLE_PERMS if sign < 0)
 
 
 def _freeze(obj: object, name: str, arr: np.ndarray) -> None:
@@ -48,6 +48,12 @@ def _freeze(obj: object, name: str, arr: np.ndarray) -> None:
         arr = arr.copy()
         arr.setflags(write=False)
     object.__setattr__(obj, name, arr)
+
+
+def _check_paths(n_paths: int, minimum: int) -> None:
+    """Raise unless the path count ``n_paths`` is at least ``minimum``."""
+    if n_paths < minimum:
+        raise ValueError(f"need at least {minimum} paths, got {n_paths}")
 
 
 def _check_index(value: int, n: int, name: str = "path") -> None:
@@ -107,8 +113,7 @@ class HermitianCube:
 
     def __post_init__(self) -> None:
         arr = _as_cube_array(self.entries)
-        if self.n_paths < 2:
-            raise ValueError(f"n_paths must be at least 2, got {self.n_paths}")
+        _check_paths(self.n_paths, 2)
         if arr.shape != (self.n_paths,) * 3:
             raise ValueError(
                 f"entries shape {arr.shape} does not match n_paths={self.n_paths}"

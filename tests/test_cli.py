@@ -1,12 +1,13 @@
 import json
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cubesim import cli
+from cubesim import cli, experiments
 from cubesim.cli import _multiport_json, main, reference_checks
 from cubesim.multiport import MultiportMatrix, assemble_multiport, sub_basis
 
@@ -355,10 +356,25 @@ def test_reproduce_json(capsys):
     assert "3-path IFM: inconclusive probability" in names
 
 
-def test_reproduce_with_corrupted_constant_fails(capsys):
-    code, out, _ = run_cli(capsys, "reproduce", "--corrupt")
+def test_reproduce_with_corrupted_constant_fails(capsys, monkeypatch):
+    run_cube_ifm = experiments.run_cube_ifm
+
+    def skewed(n, *args, **kwargs):
+        """The real run, with N = 3's P_? moved 1e-3 from P_success."""
+        result = run_cube_ifm(n, *args, **kwargs)
+        if n != 3:
+            return result
+        return replace(
+            result,
+            p_inconclusive=result.p_inconclusive + 1e-3,
+            p_success=result.p_success - 1e-3,
+        )
+
+    monkeypatch.setattr(experiments, "run_cube_ifm", skewed)
+    code, out, _ = run_cli(capsys, "reproduce")
     assert code == 1
-    assert "FAIL" in out
+    row = next(line for line in out.splitlines() if line.startswith("3-path IFM: inconclusive"))
+    assert row.endswith("[FAIL]")
 
 
 def test_reference_checks_cover_key_values():
@@ -547,6 +563,9 @@ def test_invalid_env_tolerance_value(capsys, monkeypatch):
         (None, ["ifm", "--model", "cube", "--n", "3", "--seed", "1", "--shots", str(2**63)]),
         # sorkin compares nothing against a tolerance
         (None, ["sorkin", "--port", "1", "--tol", "1e-9"]),
+        # removed options: a test hook, and a path count with one accepted value
+        (None, ["reproduce", "--corrupt"]),
+        (None, ["sorkin", "--n", "3"]),
     ],
 )
 def test_usage_errors_exit_2(capsys, monkeypatch, env_tol, argv):

@@ -11,6 +11,7 @@ from cubesim.cubes import basis_cube, nonquantum_cube
 from cubesim.multiport import (
     MATRIX_TOL,
     MultiportMatrix,
+    MultiportReport,
     _blocks,
     apply_transform,
     assemble_multiport,
@@ -663,6 +664,30 @@ def test_verify_reports_nan_for_a_nan_entry(n):
     report = verify_multiport(replace(t, matrix=corrupted))
     assert math.isnan(report.pairing_violation)
     assert math.isnan(report.diagonal_sum_drift)
+    assert not report.passes()
+
+
+@pytest.mark.parametrize(
+    "cell, field",
+    [((5, 5), "d_spectrum_deviation"), ((6, 0), "bb_spectrum_deviation")],
+    ids=["closing-block", "coherence-block"],
+)
+def test_verify_reports_nan_for_a_non_finite_spectrum_block(cell, field):
+    # eigvalsh raises on these blocks; the report carries a NaN instead
+    t = assemble_multiport(4)
+    corrupted = np.array(t.matrix)
+    corrupted[cell] = np.nan
+    report = verify_multiport(replace(t, matrix=corrupted))
+    assert math.isnan(getattr(report, field))
+    assert not report.passes()
+
+
+@pytest.mark.parametrize("position", range(6))
+def test_worst_propagates_a_nan_from_any_field(position):
+    residuals = [0.0] * 6
+    residuals[position] = math.nan
+    report = MultiportReport(3, *residuals)
+    assert math.isnan(report.worst())
     assert not report.passes()
 
 

@@ -1,5 +1,6 @@
-"""The documented surface: the export list and README's tour."""
+"""The documented surface: the export list, README's CLI table and its tour."""
 
+import argparse
 import ast
 import inspect
 import re
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import cubesim
+from cubesim import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -17,6 +19,22 @@ def test_export_list_resolves_without_duplicates():
     assert len(cubesim.__all__) == len(set(cubesim.__all__))
     for name in cubesim.__all__:
         assert hasattr(cubesim, name), name
+
+
+def test_readme_cli_table_matches_the_parser():
+    rows = re.findall(r"^\| `([a-z-]+)` +\|(.*)\|(.*)\|$", README.read_text(), re.MULTILINE)
+    table = {name: (re.findall(r"`(\w+)`", formats), re.findall(r"`(--[\w-]+)", flags))
+             for name, formats, flags in rows}
+    parser = cli._build_parser()
+    subparsers = next(
+        action for action in parser._actions if isinstance(action, argparse._SubParsersAction)
+    )
+    assert sorted(table) == sorted(subparsers.choices)
+    for name, subparser in subparsers.choices.items():
+        formats, flags = table[name]
+        options = {a.option_strings[0]: a for a in subparser._actions if a.option_strings}
+        assert formats == list(options.pop("--format").choices), name
+        assert sorted(flags) == sorted(set(options) - {"-h", "--out"}), name
 
 
 def test_phase_function_knob_is_gone():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubesim import cubes, experiments, multiport, quantum
+from cubesim import cubes, experiments, multiport, quantum, results
 from cubesim.quantum import DensityMatrix, UnitaryMatrix, fourier_unitary
 from cubesim.tensor import (
     DEFAULT_TOL,
@@ -310,6 +310,28 @@ def test_index_checks_share_one_message(site):
     with pytest.raises(ValueError) as info:
         call()
     assert str(info.value) == message
+
+
+# Every path-count check, with the message it raises for too few paths.
+PATH_COUNT_SITES = {
+    "HermitianCube": (lambda: HermitianCube(1, np.zeros((1, 1, 1))), 2, 1),
+    "IFMResult": (lambda: results.IFMResult("cube", 1, 0.0, 1.0, 0.0, 0.0), 2, 1),
+    "cube_tradeoff_bound": (lambda: experiments.cube_tradeoff_bound(0.5, 1), 2, 1),
+    "fourier_unitary": (lambda: fourier_unitary(1), 2, 1),
+    "DensityMatrix": (lambda: DensityMatrix(1, [[1.0]]), 2, 1),
+    "UnitaryMatrix": (lambda: UnitaryMatrix(1, [[1.0]]), 2, 1),
+    "fourier_row_exponents": (lambda: multiport.fourier_row_exponents(2), 3, 2),
+    "sub_basis": (lambda: multiport.sub_basis(2), 3, 2),
+    "nonquantum_cube": (lambda: cubes.nonquantum_cube(DensityMatrix.maximally_mixed(2), 1), 3, 2),
+}
+
+
+@pytest.mark.parametrize("site", sorted(PATH_COUNT_SITES))
+def test_path_count_checks_share_one_message(site):
+    call, minimum, n_paths = PATH_COUNT_SITES[site]
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == f"need at least {minimum} paths, got {n_paths}"
 
 
 def test_empty_canonical_map_yields_zero_cube():
