@@ -7,8 +7,6 @@ explicit seed.
 
 from __future__ import annotations
 
-from itertools import combinations
-
 import numpy as np
 
 from .cubes import _not_found, _probability
@@ -146,34 +144,21 @@ def region_scan_csv(rows: list[tuple[int, float, float]]) -> str:
 def sorkin_term(cube: HermitianCube, t2: MultiportMatrix, port: int) -> float:
     """Third-order interference term at an output port of a 3-path setup.
 
-    For each nonempty subset S of {1, 2, 3} the cube is truncated by
-    zeroing every entry carrying an index outside S (no renormalization,
-    so the intensities behave additively), propagated through ``t2``, and
-    the intensity I_S is read at ``port``.  Returns
-    ``I_123 - I_12 - I_13 - I_23 + I_1 + I_2 + I_3``, which vanishes for
-    every quantum cube and is nonzero in the presence of genuine
-    three-path coherence.  Truncating to S keeps the coordinates of the
-    basis cubes supported inside S.
+    Sorkin's term is ``I_123 - I_12 - I_13 - I_23 + I_1 + I_2 + I_3``,
+    where I_S is the intensity at ``port`` of the cube truncated to the
+    paths in S (entries with an index outside S zeroed, no
+    renormalization) and propagated through ``t2``.  It vanishes for every
+    quantum cube and is nonzero with genuine three-path coherence.  I_S
+    sums ``t2[port, i] * c_i`` over the basis cubes i supported inside S,
+    so the term weights c_i by the sum of ``(-1)^(3 - |S|)`` over the S
+    containing cube i's support: 1 for the two coherence cubes, which
+    touch all three paths, and 0 for the one-path population cubes.
     """
     if cube.n_paths != 3 or t2.n_paths != 3:
         raise ValueError("the third-order term is defined for 3-path setups only")
     _check_index(port, 3, "port")
-
     coords = to_coords(cube, t2.basis)
-    row = t2.matrix[port - 1]
-    # the (0-based) path indices touched by each basis cube
-    support = np.stack(np.unravel_index(t2.basis.cells[:, 0], (3, 3, 3)), axis=1)
-
-    def intensity(subset: tuple[int, ...]) -> float:
-        inside = np.isin(support, [p - 1 for p in subset]).all(axis=1)
-        return float((row @ np.where(inside, coords, 0.0)).real)
-
-    term = intensity((1, 2, 3))
-    for pair in combinations((1, 2, 3), 2):
-        term -= intensity(pair)
-    for single in combinations((1, 2, 3), 1):
-        term += intensity(single)
-    return term
+    return float((t2.matrix[port - 1, 3:] @ coords[3:]).real)
 
 
 def sample_clicks(result: IFMResult, shots: int, seed: int) -> dict[str, int]:

@@ -85,6 +85,7 @@ class DensityMatrix:
     @classmethod
     def path_state(cls, n_paths: int, path: int) -> "DensityMatrix":
         """Particle definitely in the given 1-based path."""
+        _check_index(path, n_paths)
         vec = np.zeros(n_paths)
         vec[path - 1] = 1.0
         return cls.from_state_vector(vec)

@@ -566,6 +566,9 @@ def test_invalid_env_tolerance_value(capsys, monkeypatch):
         # removed options: a test hook, and a path count with one accepted value
         (None, ["reproduce", "--corrupt"]),
         (None, ["sorkin", "--n", "3"]),
+        # the CSV row has no clicks, and only --seed draws them
+        (None, ["ifm", "--model", "cube", "--n", "3", "--seed", "7", "--format", "csv"]),
+        (None, ["ifm", "--model", "cube", "--n", "3", "--shots", "100"]),
     ],
 )
 def test_usage_errors_exit_2(capsys, monkeypatch, env_tol, argv):

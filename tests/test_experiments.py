@@ -6,6 +6,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubesim.cubes import (
     basis_cube,
@@ -28,6 +30,8 @@ from cubesim.multiport import (
     _blocks,
     apply_transform,
     assemble_multiport,
+    from_coords,
+    sub_basis,
     t3_matrix,
 )
 from cubesim.quantum import DensityMatrix
@@ -259,6 +263,27 @@ def test_sorkin_of_interferometer_cube_matches_oracle():
     oracle_value = sorkin_oracle(cube, t3, 1)
     assert oracle_value == pytest.approx(0.5, abs=1e-14)
     assert sorkin_term(cube, t3, 1) == pytest.approx(oracle_value, abs=1e-14)
+
+
+FINITE = dict(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.complex_numbers(max_magnitude=10.0, **FINITE), min_size=25, max_size=25),
+    st.lists(st.floats(-10.0, 10.0, **FINITE), min_size=3, max_size=3),
+    st.complex_numbers(max_magnitude=10.0, **FINITE),
+    st.integers(1, 3),
+)
+def test_sorkin_term_matches_oracle_for_any_matrix_and_cube(entries, populations, coherence, port):
+    # the identity behind sorkin_term needs neither t3 nor a state
+    basis = sub_basis(3)
+    m = np.array(entries).reshape(5, 5)
+    v = np.array([*populations, coherence, np.conj(coherence)])
+    cube = from_coords(v, basis)
+    transform = MultiportMatrix(3, m, basis)
+    slack = 1e-12 * (1.0 + np.linalg.norm(m) * np.linalg.norm(v))
+    assert abs(sorkin_term(cube, transform, port) - sorkin_oracle(cube, transform, port)) <= slack
 
 
 def test_sorkin_intensities_behind_the_oracle():

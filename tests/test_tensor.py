@@ -279,6 +279,10 @@ INDEX_SITES = {
         lambda: cubes.nonquantum_cube(DensityMatrix.maximally_mixed(3), 0),
         "gamma 0 out of range 1..3",
     ),
+    "DensityMatrix.path_state": (
+        lambda: DensityMatrix.path_state(3, 0),
+        "path 0 out of range 1..3",
+    ),
     "DensityMatrix.probability": (
         lambda: DensityMatrix.maximally_mixed(2).probability(3),
         "path 3 out of range 1..2",
