@@ -194,9 +194,8 @@ def reference_checks() -> list[Check]:
     def add(name: str, computed: float, expected: float, tol: float) -> None:
         checks.append(Check(name, float(computed), float(expected), tol))
 
-    # each N = 3..12 is assembled and run once, N = 3 for the checks below too
+    # each N = 3..12 is run and verified once, N = 3 for the checks below too
     n_values = range(3, 13)
-    assembled = {n: multiport.assemble_multiport(n) for n in n_values}
     runs = {n: experiments.run_cube_ifm(n) for n in n_values}
 
     # Three-path perfect interaction-free measurement.
@@ -238,20 +237,20 @@ def reference_checks() -> list[Check]:
     # Assembled three-path transformation against the tabulated matrix.
     add(
         "3-path multiport matches tabulated matrix",
-        float(np.abs(assembled[3].matrix - t3.matrix).max()),
+        float(np.abs(multiport.assemble_multiport(3).matrix - t3.matrix).max()),
         0.0,
         1e-12,
     )
-    report3 = multiport.verify_multiport(t3)
-    add("3-path multiport: involution residual", report3.involution_residual, 0.0, 1e-12)
-    add("3-path multiport: self-adjoint residual", report3.adjoint_residual, 0.0, 1e-12)
+    m = t3.matrix
+    add("3-path multiport: involution residual", np.linalg.norm(m @ m - np.eye(5)), 0.0, 1e-12)
+    add("3-path multiport: self-adjoint residual", np.linalg.norm(m - m.conj().T), 0.0, 1e-12)
 
     # Block spectra and saturation across N.
     spectrum_dev = 0.0
     saturation_dev = 0.0
     inconclusive = []
     for n in n_values:
-        report = multiport.verify_multiport(assembled[n])
+        report = multiport.verify_multiport(n)
         spectrum_dev = max(
             spectrum_dev, report.bb_spectrum_deviation, report.d_spectrum_deviation
         )
@@ -397,7 +396,7 @@ def _cmd_sorkin(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    reports = [multiport.verify_multiport(multiport.assemble_multiport(n)) for n in args.n]
+    reports = [multiport.verify_multiport(n) for n in args.n]
     rows = [{**asdict(r), "passed": r.passes(args.matrix_tol)} for r in reports]
     if args.output_format == "json":
         _emit(_json_dump(rows), args.out)

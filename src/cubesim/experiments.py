@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .cubes import _not_found, _probability
-from .multiport import _SQRT3, MultiportMatrix, _blocks, to_coords
+from .multiport import _SQRT3, MultiportMatrix, _blocks, _matvec, to_coords
 from .quantum import UnitaryMatrix, fourier_unitary, inject_first_path, quantum_ifm
 from .results import IFMResult, _csv
 from .tensor import DEFAULT_TOL, HermitianCube, _check_index, _check_paths
@@ -83,12 +83,6 @@ def run_cube_ifm(n_paths: int, tol: float = DEFAULT_TOL) -> IFMResult:
         bound_value=cube_tradeoff_bound(p_trigger, n_paths),
         label=f"cube_multiport_{n_paths}",
     )
-
-
-def _matvec(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
-    """``matrix @ vector`` as numpy's pairwise sums along contiguous rows.
-    It calls no BLAS, so its bits do not depend on the BLAS thread count."""
-    return (np.ascontiguousarray(matrix) * vector).sum(axis=1)
 
 
 def fourier_preset(n_paths: int) -> IFMResult:

@@ -18,7 +18,7 @@ two-point spectrum {0, N(N-2)/(N-1)^2}, this root has the closed form
 A and B fix the whole multiport, so construction checks only two N x N
 identities of B: the scaled Gram matrix ``(N-1)^2 B+B = (N-2)(N id -
 ones)`` and ``B 1 = 0``.  Together they imply ``M M = id`` (see
-:func:`_blocks`); :func:`verify_multiport` measures the d x d residuals.
+:func:`_blocks`); :func:`verify_multiport` measures the residuals from them.
 
 On root-of-unity conventions: :func:`build_phase_matrix` uses
 ``exp(+i 2 pi / N)`` while the optimal cubes (and hence the assembled
@@ -215,6 +215,22 @@ def from_coords(
     return HermitianCube(basis.n_paths, entries, is_state=is_state)
 
 
+def _matvec(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
+    """``matrix @ vector`` as numpy's pairwise sums along contiguous rows.
+    It calls no BLAS, so its bits do not depend on the BLAS thread count."""
+    return (np.ascontiguousarray(matrix) * vector).sum(axis=1)
+
+
+def _matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``x @ y`` column by column through :func:`_matvec`, with no BLAS."""
+    x = np.ascontiguousarray(x)
+    return np.stack([_matvec(x, column) for column in y.T], axis=1)
+
+
+def _gram(b: np.ndarray) -> np.ndarray:
+    return _matmul(b.conj().T, b)  # B+B, the N x N Gram matrix
+
+
 def _blocks(n_paths: int) -> tuple[np.ndarray, np.ndarray]:
     """Population block A and coherence block B of the N-path multiport.
 
@@ -236,7 +252,7 @@ def _blocks(n_paths: int) -> tuple[np.ndarray, np.ndarray]:
     phases = np.conj(build_phase_matrix(n))
     b = np.vstack([phases, np.conj(phases)]) / (n - 1)
     target = (n - 2) * (n * np.eye(n) - np.ones((n, n)))
-    gram = np.abs((n - 1) ** 2 * (b.conj().T @ b) - target).max()
+    gram = np.abs((n - 1) ** 2 * _gram(b) - target).max()
     kernel = np.abs(b.sum(axis=1)).max()
     # written as ``not (residual <= MATRIX_TOL)`` so that a NaN fails
     if not (gram <= MATRIX_TOL and kernel <= MATRIX_TOL):
@@ -268,10 +284,7 @@ class MultiportMatrix:
     Block layout (in the fixed basis ordering): the N x N block A maps
     populations to populations, B maps populations to coherences, the
     top-right block is B's adjoint and D closes the coherence sector.
-    Construction-time validation covers shapes only, so that deliberately
-    corrupted matrices can still be inspected with
-    :func:`verify_multiport`.
-    """
+    Construction validates shapes only."""
 
     n_paths: int
     matrix: np.ndarray
@@ -285,16 +298,6 @@ class MultiportMatrix:
         if arr.shape != (d, d):
             raise ValueError(f"expected a {d} x {d} matrix, got shape {arr.shape}")
         _freeze(self, "matrix", arr)
-
-    @property
-    def block_b(self) -> np.ndarray:
-        n = self.n_paths
-        return self.matrix[n:, :n]
-
-    @property
-    def block_d(self) -> np.ndarray:
-        n = self.n_paths
-        return self.matrix[n:, n:]
 
 
 def t3_matrix() -> MultiportMatrix:
@@ -387,54 +390,56 @@ class MultiportReport:
         return self.worst() <= tol
 
 
-def _spectrum_deviation(block: np.ndarray, admissible: tuple[float, float]) -> float:
-    """Largest distance from an eigenvalue of the Hermitian ``block`` to the
-    nearer of the two ``admissible`` values; NaN, with no eigensolver call,
-    when the block has a non-finite entry."""
-    if not np.isfinite(block).all():
-        return float("nan")
-    eigs = np.linalg.eigvalsh(block)
+def _spectrum_deviation(eigs: np.ndarray, admissible: tuple[float, float]) -> float:
+    """Largest distance from one of ``eigs`` to the nearer admissible value."""
     return float(np.minimum(*(np.abs(eigs - value) for value in admissible)).max())
 
 
-def verify_multiport(t: MultiportMatrix) -> MultiportReport:
-    """Measure how well a multiport satisfies its contract; never raises.
+def _squared_norm(x: np.ndarray) -> float:
+    return float((np.abs(x) ** 2).sum())  # np.linalg.norm would sum through BLAS
 
-    Checks self-adjointness and the involution property (Frobenius norm),
-    preservation of the Hermiticity pairing and of the total population,
-    and membership of the closing-block and coherence-Gram spectra in
-    their admissible two-point sets.
 
-    A coordinate vector v is Hermitian iff ``v = S conj(v)``, where the
-    permutation S swaps each coherence coordinate with its conjugate, and
-    Hermitian vectors span all coordinate vectors.  So M keeps the pairing
-    iff ``M = S conj(M) S``, and, given that, keeps the population sum iff
-    the column sums of its N population rows are 1 on the populations and
-    0 on the coherences.  The nonzero eigenvalues of ``B B+`` are those of
-    the N x N matrix ``B+ B``.
+def verify_multiport(n_paths: int) -> MultiportReport:
+    """Measure how well the N-path multiport satisfies its contract: the
+    involution and self-adjointness residuals (Frobenius norm), the
+    Hermiticity pairing, the population sum, and the two block spectra.
+
+    Every residual is read from A and B of :func:`_blocks` (which may
+    raise) with no d x d matrix and no BLAS product; the one LAPACK call
+    is ``eigvalsh`` of the N x N Gram matrix ``G = B+B``, so the bits do
+    not depend on the BLAS thread count.  With ``k = (N-1)/N`` the
+    multiport ``[[A, B+], [B, id - k B B+]]`` is self-adjoint iff A is.
+    The blocks of ``M M - id`` are ``A A + G - id``, ``B (A + id - k G)``
+    and its adjoint, and ``W B+`` with ``W = B ((1 - 2k) id + k^2 G)``, of
+    squared norm ``tr(W+ W G)``; W and ``B (A + id - k G)`` are
+    rounding-sized, so nothing cancels.  M keeps the Hermiticity pairing
+    iff A is real and B's conjugate rows are conjugate, and then keeps the
+    population sum iff A's column sums are 1 and B's row sums 0.  The
+    closing block's eigenvalues are ``1 - k lambda`` over G's eigenvalues
+    lambda, and 1 elsewhere.
     """
-    m, n, d = t.matrix, t.n_paths, t.basis.dim
-    involution = float(np.linalg.norm(m @ m - np.eye(d)))
-    adjoint = float(np.linalg.norm(m - m.conj().T))
+    n = n_paths
+    a, b = _blocks(n)
+    eye, k = np.eye(n), (n - 1) / n
+    gram = _gram(b)
+    cross = _matmul(b, a + eye - k * gram)
+    w = _matmul(b, (1 - 2 * k) * eye + k**2 * gram)
+    closing = float((_matmul(w.conj().T, w) * gram.T).sum().real)
+    involution = _squared_norm(_matmul(a, a) + gram - eye) + 2 * _squared_norm(cross) + closing
 
-    mid = (n + d) // 2
-    swap = np.r_[:n, mid:d, n:mid]
-    # numpy's max, unlike the builtin, propagates a NaN
-    pairing = np.abs(m - np.conj(m[np.ix_(swap, swap)])).max()
-    drift = np.abs(m[:n].sum(axis=0) - (np.arange(d) < n)).max()
+    half = len(b) // 2
+    pairing = max(np.abs(a.imag).max(), np.abs(b[half:] - np.conj(b[:half])).max())
+    drift = max(np.abs(a.sum(axis=0) - 1).max(), np.abs(b.sum(axis=1)).max())
 
-    d_dev = _spectrum_deviation(t.block_d, (1.0, 1.0 / (n - 1)))
-    gram = t.block_b.conj().T @ t.block_b
-    bb_dev = _spectrum_deviation(gram, (0.0, n * (n - 2) / (n - 1) ** 2))
-
+    eigs = np.linalg.eigvalsh(gram)
     return MultiportReport(
         n_paths=n,
-        adjoint_residual=adjoint,
-        involution_residual=involution,
+        adjoint_residual=float(np.sqrt(_squared_norm(a - a.T))),
+        involution_residual=float(np.sqrt(involution)),
         pairing_violation=float(pairing),
         diagonal_sum_drift=float(drift),
-        d_spectrum_deviation=d_dev,
-        bb_spectrum_deviation=bb_dev,
+        d_spectrum_deviation=_spectrum_deviation(1 - k * eigs, (1.0, 1.0 / (n - 1))),
+        bb_spectrum_deviation=_spectrum_deviation(eigs, (0.0, n * (n - 2) / (n - 1) ** 2)),
     )
 
 

@@ -6,6 +6,7 @@ from itertools import permutations
 
 import numpy as np
 
+from cubesim.multiport import MultiportReport
 from cubesim.tensor import hermitian_complete
 
 SQRT3 = math.sqrt(3.0)
@@ -35,4 +36,54 @@ def interferometer_cube():
         {(2, 2, 2): 0.5, (3, 3, 3): 0.5, (1, 2, 3): 1.0 / (2.0 * SQRT3)},
         3,
         is_state=True,
+    )
+
+
+# The d x d residual report of an explicit multiport matrix, the oracle for
+# the block forms of cubesim.multiport.verify_multiport.
+
+def spectrum_deviation(block, admissible):
+    """Largest distance from an eigenvalue of the Hermitian ``block`` to the
+    nearer of the two ``admissible`` values; NaN, with no eigensolver call,
+    when the block has a non-finite entry."""
+    if not np.isfinite(block).all():
+        return float("nan")
+    eigs = np.linalg.eigvalsh(block)
+    return float(np.minimum(*(np.abs(eigs - value) for value in admissible)).max())
+
+
+def dense_report(t):
+    """Residuals of the multiport contract measured on the d x d matrix of
+    ``t``; never raises.
+
+    A coordinate vector v is Hermitian iff ``v = S conj(v)``, where the
+    permutation S swaps each coherence coordinate with its conjugate, and
+    Hermitian vectors span all coordinate vectors.  So M keeps the pairing
+    iff ``M = S conj(M) S``, and, given that, keeps the population sum iff
+    the column sums of its N population rows are 1 on the populations and
+    0 on the coherences.  The nonzero eigenvalues of ``B B+`` are those of
+    the N x N matrix ``B+ B``.
+    """
+    m, n, d = t.matrix, t.n_paths, t.basis.dim
+    involution = float(np.linalg.norm(m @ m - np.eye(d)))
+    adjoint = float(np.linalg.norm(m - m.conj().T))
+
+    mid = (n + d) // 2
+    swap = np.r_[:n, mid:d, n:mid]
+    # numpy's max, unlike the builtin, propagates a NaN
+    pairing = np.abs(m - np.conj(m[np.ix_(swap, swap)])).max()
+    drift = np.abs(m[:n].sum(axis=0) - (np.arange(d) < n)).max()
+
+    d_dev = spectrum_deviation(m[n:, n:], (1.0, 1.0 / (n - 1)))
+    gram = m[n:, :n].conj().T @ m[n:, :n]
+    bb_dev = spectrum_deviation(gram, (0.0, n * (n - 2) / (n - 1) ** 2))
+
+    return MultiportReport(
+        n_paths=n,
+        adjoint_residual=adjoint,
+        involution_residual=involution,
+        pairing_violation=float(pairing),
+        diagonal_sum_drift=float(drift),
+        d_spectrum_deviation=d_dev,
+        bb_spectrum_deviation=bb_dev,
     )

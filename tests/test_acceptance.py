@@ -96,11 +96,12 @@ def test_criterion_4_three_path_matrix():
 def test_criterion_5_block_spectra():
     for n in range(3, 13):
         t = assemble_multiport(n)
-        bb = t.block_b @ t.block_b.conj().T
+        block_b = t.matrix[n:, :n]
+        bb = block_b @ block_b.conj().T
         eigs = np.linalg.eigvalsh(bb)
         target = n * (n - 2) / (n - 1) ** 2
         assert np.minimum(np.abs(eigs), np.abs(eigs - target)).max() < 1e-9, f"N={n}"
-        d_eigs = np.linalg.eigvalsh(t.block_d)
+        d_eigs = np.linalg.eigvalsh(t.matrix[n:, n:])
         assert (
             np.minimum(np.abs(d_eigs - 1.0), np.abs(d_eigs - 1.0 / (n - 1))).max()
             < 1e-9

@@ -1,6 +1,6 @@
 import math
 import tracemalloc
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -27,7 +27,7 @@ from cubesim.multiport import (
 )
 from cubesim.quantum import DensityMatrix
 from cubesim.tensor import DEFAULT_TOL, cube_inner, hermitian_complete, hermiticity_violation
-from oracles import SQRT3, interferometer_cube, oracle_complete
+from oracles import SQRT3, dense_report, interferometer_cube, oracle_complete
 
 
 def hermitian_sqrt(matrix, tol=DEFAULT_TOL):
@@ -478,9 +478,9 @@ def test_sqrt_rejects_non_hermitian():
 @pytest.mark.parametrize("n", range(3, 33))
 def test_closed_form_closing_block_is_the_principal_root(n):
     t = assemble_multiport(n)
-    b = t.block_b
+    b = t.matrix[n:, :n]
     root = hermitian_sqrt(np.eye(len(b)) - b @ b.conj().T)
-    np.testing.assert_allclose(t.block_d, root, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(t.matrix[n:, n:], root, rtol=0, atol=1e-13)
 
 
 # --- assembly --------------------------------------------------------------------------------
@@ -494,7 +494,7 @@ def test_assembled_three_path_matches_tabulated_matrix():
 def test_assembled_four_path_closing_block():
     # (1/3) (2 id - antidiagonal ones)
     expected = (2.0 * np.eye(6) - np.fliplr(np.eye(6))) / 3.0
-    np.testing.assert_allclose(assemble_multiport(4).block_d, expected, atol=1e-12)
+    np.testing.assert_allclose(assemble_multiport(4).matrix[4:, 4:], expected, atol=1e-12)
 
 
 @pytest.mark.parametrize("n", range(3, 33))
@@ -539,18 +539,19 @@ def test_writable_matrix_is_copied_and_read_only_owner_adopted():
 def test_assembled_identities(n):
     t = assemble_multiport(n)
     d = t.basis.dim
+    block_b, block_d = t.matrix[n:, :n], t.matrix[n:, n:]
     assert np.linalg.norm(t.matrix @ t.matrix - np.eye(d)) < 1e-9
     assert np.linalg.norm(t.matrix - t.matrix.conj().T) < 1e-9
     # the intertwining identity behind the principal-root choice
     np.testing.assert_allclose(
-        t.block_d @ t.block_b, t.block_b / (n - 1), atol=1e-10
+        block_d @ block_b, block_b / (n - 1), atol=1e-10
     )
     # coherence Gram spectrum in {0, N(N-2)/(N-1)^2}
-    eigs = np.linalg.eigvalsh(t.block_b @ t.block_b.conj().T)
+    eigs = np.linalg.eigvalsh(block_b @ block_b.conj().T)
     target = n * (n - 2) / (n - 1) ** 2
     assert np.minimum(np.abs(eigs), np.abs(eigs - target)).max() < 1e-9
     # closing-block spectrum in {1, 1/(N-1)}
-    d_eigs = np.linalg.eigvalsh(t.block_d)
+    d_eigs = np.linalg.eigvalsh(block_d)
     assert np.minimum(np.abs(d_eigs - 1), np.abs(d_eigs - 1 / (n - 1))).max() < 1e-9
 
 
@@ -585,7 +586,7 @@ def test_apply_transform_preserves_population_sum(rng):
 # --- verification -----------------------------------------------------------------------------
 
 def test_verify_tabulated_three_path():
-    report = verify_multiport(t3_matrix())
+    report = dense_report(t3_matrix())
     assert report.adjoint_residual < 1e-12
     assert report.involution_residual < 1e-12
     assert report.pairing_violation < 1e-12
@@ -595,9 +596,30 @@ def test_verify_tabulated_three_path():
 
 @pytest.mark.parametrize("n", range(3, 33))
 def test_verify_assembled_multiport(n):
-    report = verify_multiport(assemble_multiport(n))
+    report = verify_multiport(n)
     assert report.worst() <= 1e-12
     assert report.passes()
+
+
+@pytest.mark.parametrize("n", range(3, 33))
+def test_block_report_matches_dense_oracle(n):
+    report, oracle = verify_multiport(n), dense_report(assemble_multiport(n))
+    np.testing.assert_allclose(
+        astuple(report)[1:], astuple(oracle)[1:], rtol=0, atol=1e-14
+    )
+    assert report.n_paths == oracle.n_paths
+    assert report.passes() == oracle.passes()
+
+
+def test_verify_holds_no_dense_matrix():
+    # half of one d x d complex matrix at N = 32 (d = 962)
+    tracemalloc.start()
+    try:
+        verify_multiport(32)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 962**2 * 16 / 2
 
 
 def corrupted_three_path_multiport(entries=((0, 1, 1e-3),)):
@@ -609,7 +631,7 @@ def corrupted_three_path_multiport(entries=((0, 1, 1e-3),)):
 
 
 def test_verify_detects_corruption():
-    report = verify_multiport(corrupted_three_path_multiport())
+    report = dense_report(corrupted_three_path_multiport())
     assert report.involution_residual >= 1e-4
     assert report.diagonal_sum_drift >= 1e-4
     assert not report.passes()
@@ -651,7 +673,7 @@ def test_verify_identities_match_images_of_hermitian_vectors(make, rng):
         np.abs(images[:, n : n + p] - images[:, n + p :].conj()).max(),
     )
     drift = np.abs(images[:, :n].sum(axis=1) - vectors[:, :n].sum(axis=1)).max()
-    report = verify_multiport(t)
+    report = dense_report(t)
     assert (pairing > 1e-12) == (report.pairing_violation > 1e-12)
     assert (drift > 1e-12) == (report.diagonal_sum_drift > 1e-12)
 
@@ -661,7 +683,7 @@ def test_verify_reports_nan_for_a_nan_entry(n):
     t = assemble_multiport(n)
     corrupted = np.array(t.matrix)
     corrupted[0, 1] = np.nan
-    report = verify_multiport(replace(t, matrix=corrupted))
+    report = dense_report(replace(t, matrix=corrupted))
     assert math.isnan(report.pairing_violation)
     assert math.isnan(report.diagonal_sum_drift)
     assert not report.passes()
@@ -677,7 +699,7 @@ def test_verify_reports_nan_for_a_non_finite_spectrum_block(cell, field):
     t = assemble_multiport(4)
     corrupted = np.array(t.matrix)
     corrupted[cell] = np.nan
-    report = verify_multiport(replace(t, matrix=corrupted))
+    report = dense_report(replace(t, matrix=corrupted))
     assert math.isnan(getattr(report, field))
     assert not report.passes()
 
@@ -709,7 +731,7 @@ def test_alternative_closing_blocks():
 def test_alternative_closing_blocks_break_the_multiport_contract(variant):
     # self-adjoint involutions, but they break the Hermiticity pairing and
     # have the eigenvalue -1 outside the admissible set {1, 1/3}
-    report = verify_multiport(alternative_multiport_n4(variant))
+    report = dense_report(alternative_multiport_n4(variant))
     assert report.involution_residual <= 1e-12
     assert report.adjoint_residual <= 1e-12
     assert report.pairing_violation > 0.1
@@ -744,6 +766,7 @@ def test_construction_check_residuals_have_headroom(n):
 BLOCK_READERS = {
     "assemble_multiport": assemble_multiport,
     "optimal_cubes": optimal_cubes,
+    "verify_multiport": verify_multiport,
     "nonquantum_cube": lambda n: nonquantum_cube(DensityMatrix.maximally_mixed(n), 1),
 }
 
