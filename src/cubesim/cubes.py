@@ -14,7 +14,14 @@ import numpy as np
 
 from .multiport import _SQRT3, _blocks, cell_masks, coherence_pairs
 from .quantum import DensityMatrix
-from .tensor import DEFAULT_TOL, HermitianCube, _check_index, _check_paths, hermitian_complete
+from .tensor import (
+    DEFAULT_TOL,
+    HermitianCube,
+    _check_index,
+    _check_paths,
+    _not_found,
+    hermitian_complete,
+)
 
 _RE_WEIGHT = np.sqrt(2.0 / 3.0)
 
@@ -106,18 +113,6 @@ def _probability(p: float) -> float:
     if not -DEFAULT_TOL <= p <= 1.0 + DEFAULT_TOL:
         raise ValueError(f"invalid state cube: path probability {p} outside [0, 1]")
     return min(max(p, 0.0), 1.0)
-
-
-def _not_found(p: float) -> float:
-    """Probability ``1 - p`` of not finding the particle in a path with
-    population ``p``; raises when the particle is certainly there, that is
-    when ``p`` is at least ``1 - DEFAULT_TOL``."""
-    if p >= 1.0 - DEFAULT_TOL:
-        raise ValueError(
-            "conditioning on a zero-probability event: the particle is certainly "
-            "in the measured path"
-        )
-    return 1.0 - p
 
 
 def luders_update_cube(cube: HermitianCube, path: int, found: bool) -> HermitianCube:

@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cubes import _not_found, _probability
+from .cubes import _probability
 from .multiport import _SQRT3, MultiportMatrix, _blocks, _matvec, to_coords
 from .quantum import UnitaryMatrix, fourier_unitary, inject_first_path, quantum_ifm
 from .results import IFMResult, _csv
-from .tensor import DEFAULT_TOL, HermitianCube, _check_index, _check_paths
+from .tensor import DEFAULT_TOL, HermitianCube, _check_index, _check_paths, _not_found
 
 
 def cube_tradeoff_bound(p_trigger: float, n_paths: int) -> float:

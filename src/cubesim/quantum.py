@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .results import IFMResult
-from .tensor import DEFAULT_TOL, _check_index, _check_paths, _freeze
+from .tensor import DEFAULT_TOL, _check_index, _check_paths, _freeze, _not_found
 
 #: Threshold above which an output-port probability of the no-bomb run
 #: counts as part of the inconclusive support set.  Deliberately distinct
@@ -146,12 +146,7 @@ def _lueders(rho: DensityMatrix, path: int) -> tuple[float, np.ndarray]:
     leaves less than half of ``DEFAULT_TOL`` for solver rounding.
     """
     p_trigger = rho.probability(path)
-    if p_trigger >= 1.0 - DEFAULT_TOL:
-        raise ValueError(
-            "certain detonation: the particle is in the measured path and the "
-            "post-measurement state is undefined"
-        )
-    kept = 1.0 - p_trigger
+    kept = _not_found(p_trigger)
     states = np.empty((2,) + rho.entries.shape, dtype=complex)
     states[:] = rho.entries
     tilde = states[1]

@@ -62,6 +62,18 @@ def _check_index(value: int, n: int, name: str = "path") -> None:
         raise ValueError(f"{name} {value} out of range 1..{n}")
 
 
+def _not_found(p: float) -> float:
+    """Probability ``1 - p`` of not finding the particle in a path with
+    population ``p``; raises when the particle is certainly there, that is
+    when ``p`` is at least ``1 - DEFAULT_TOL``."""
+    if p >= 1.0 - DEFAULT_TOL:
+        raise ValueError(
+            "certain detonation: the particle is certainly in the measured path, "
+            "so the not-found state is undefined"
+        )
+    return 1.0 - p
+
+
 def _as_cube_array(tensor: object) -> np.ndarray:
     arr = np.asarray(tensor, dtype=complex)
     if arr.ndim != 3 or len(set(arr.shape)) != 1:

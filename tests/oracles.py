@@ -6,7 +6,7 @@ from itertools import permutations
 
 import numpy as np
 
-from cubesim.multiport import MultiportReport
+from cubesim.multiport import MultiportReport, _blocks, sub_basis
 from cubesim.tensor import hermitian_complete
 
 SQRT3 = math.sqrt(3.0)
@@ -87,3 +87,16 @@ def dense_report(t):
         d_spectrum_deviation=d_dev,
         bb_spectrum_deviation=bb_dev,
     )
+
+
+def out_of_place_multiport(n):
+    """The d x d multiport ``[[A, B+], [B, I - k B B+]]`` with k = (N-1)/N,
+    each block written into a fresh zero matrix."""
+    a, b = _blocks(n)
+    d = sub_basis(n).dim
+    expected = np.zeros((d, d), dtype=complex)
+    expected[:n, :n] = a
+    expected[n:, :n] = b
+    expected[:n, n:] = b.conj().T
+    expected[n:, n:] = np.eye(d - n) - ((n - 1) / n) * (b @ b.conj().T)
+    return expected

@@ -192,25 +192,68 @@ def test_verify_below_the_residuals_reports_failures(capsys):
     assert [row["passed"] for row in json.loads(out)] == [False] * 4
 
 
-def test_verify_bytes_do_not_depend_on_the_blas_thread_count():
-    # verify sums every product in numpy, so no BLAS split can move a bit
-    source = str(Path(cli.__file__).parents[1])
-    outputs = {}
+# README's byte contract: the commands that write the same bytes at any BLAS
+# thread count
+BYTE_CONTRACT_ARGV = (
+    [["ifm", "--model", "cube", "--n", str(n)] for n in range(3, 33)]
+    + [
+        ["ifm", "--model", "quantum", "--n", str(n), *fmt]
+        for n in range(2, 9)
+        for fmt in ([], ["--format", "csv"])
+    ]
+    + [["reproduce"], ["reproduce", "--format", "json"]]
+    + [["sorkin", "--port", str(port)] for port in (1, 2, 3)]
+    + [["verify", "--n", "3..32"], ["verify", "--n", "3..32", "--format", "json"]]
+    + [["dump-matrix", "--n", "32"]]
+)
+
+# Runs each argv through cli.main in one interpreter and prints, as JSON,
+# its exit code, stderr and stdout's sha256, and for N = 3..32 whether the
+# assembled multiport equals the out-of-place formula bit for bit.
+THREAD_CHILD = """
+import contextlib, hashlib, io, json, sys
+import numpy as np
+from cubesim import cli
+from cubesim.multiport import assemble_multiport
+from oracles import out_of_place_multiport
+
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    runs.append([code, err.getvalue(), hashlib.sha256(out.getvalue().encode()).hexdigest()])
+bits = [
+    np.array_equal(
+        assemble_multiport(n).matrix.view(np.int64), out_of_place_multiport(n).view(np.int64)
+    )
+    for n in range(3, 33)
+]
+print(json.dumps({"runs": runs, "bits": bits}))
+"""
+
+
+def test_cli_bytes_do_not_depend_on_the_blas_thread_count():
+    # a product whose summation order follows the BLAS thread split, such as
+    # a BLAS `@` in multiport._gram, moves a bit in some report here
+    paths = [str(Path(cli.__file__).parents[1]), str(Path(__file__).parent)]
+    pythonpath = os.pathsep.join(filter(None, [*paths, os.environ.get("PYTHONPATH")]))
+    reports = {}
     for threads in ("1", "2"):
-        pythonpath = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
         env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": pythonpath}
-        for fmt in ("pretty", "json"):
-            argv = ["verify", "--n", "3..32", "--format", fmt]
-            done = subprocess.run(
-                [sys.executable, "-m", "cubesim.cli", *argv],
-                env=env,
-                capture_output=True,
-                timeout=120,
-            )
-            assert (done.returncode, done.stderr) == (0, b"")
-            outputs[threads, fmt] = done.stdout
-    for fmt in ("pretty", "json"):
-        assert outputs["1", fmt] == outputs["2", fmt], fmt
+        done = subprocess.run(
+            [sys.executable, "-c", THREAD_CHILD, json.dumps(BYTE_CONTRACT_ARGV)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert (done.returncode, done.stderr) == (0, ""), threads
+        reports[threads] = json.loads(done.stdout)
+    for threads, report in reports.items():
+        assert [run[:2] for run in report["runs"]] == [[0, ""]] * len(BYTE_CONTRACT_ARGV), threads
+        assert report["bits"] == [True] * 30, threads
+    assert reports["1"] == reports["2"]
 
 
 def test_dump_matrix(capsys):

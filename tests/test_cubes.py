@@ -211,7 +211,7 @@ def test_not_found_update_is_idempotent(rng):
 
 
 def test_update_conditioning_on_impossible_outcome():
-    with pytest.raises(ValueError, match="zero-probability"):
+    with pytest.raises(ValueError, match="certain detonation"):
         luders_update_cube(basis_cube(3, 1), 1, found=False)
 
 
@@ -221,7 +221,7 @@ def test_update_guard_boundary(gap, raises):
     rho = DensityMatrix(3, np.diag([p, 1.0 - p, 0.0]).astype(complex))
     cube = quantum_to_cube(rho)
     if raises:
-        with pytest.raises(ValueError, match="zero-probability"):
+        with pytest.raises(ValueError, match="certain detonation"):
             luders_update_cube(cube, 1, found=False)
     else:
         updated = luders_update_cube(cube, 1, found=False)

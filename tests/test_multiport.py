@@ -27,7 +27,13 @@ from cubesim.multiport import (
 )
 from cubesim.quantum import DensityMatrix
 from cubesim.tensor import DEFAULT_TOL, cube_inner, hermitian_complete, hermiticity_violation
-from oracles import SQRT3, dense_report, interferometer_cube, oracle_complete
+from oracles import (
+    SQRT3,
+    dense_report,
+    interferometer_cube,
+    oracle_complete,
+    out_of_place_multiport,
+)
 
 
 def hermitian_sqrt(matrix, tol=DEFAULT_TOL):
@@ -500,13 +506,7 @@ def test_assembled_four_path_closing_block():
 @pytest.mark.parametrize("n", range(3, 33))
 def test_assembled_multiport_is_bit_identical_to_the_out_of_place_formula(n):
     # dump-matrix prints the sign of every zero, which allclose cannot see
-    a, b = _blocks(n)
-    d = sub_basis(n).dim
-    expected = np.zeros((d, d), dtype=complex)
-    expected[:n, :n] = a
-    expected[n:, :n] = b
-    expected[:n, n:] = b.conj().T
-    expected[n:, n:] = np.eye(d - n) - ((n - 1) / n) * (b @ b.conj().T)
+    expected = out_of_place_multiport(n)
     actual = assemble_multiport(n).matrix
     assert np.array_equal(actual.view(np.int64), expected.view(np.int64))
 
