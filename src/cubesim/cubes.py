@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .multiport import _SQRT3, _blocks, cell_masks, coherence_pairs
+from .multiport import _SQRT3, _slice_blocks, cell_masks, coherence_pairs
 from .quantum import DensityMatrix
 from .tensor import (
     DEFAULT_TOL,
@@ -77,12 +77,13 @@ def nonquantum_cube(rho: DensityMatrix, gamma: int) -> HermitianCube:
     n = rho.n_paths
     _check_paths(n, 3)  # no three-path slot exists for N = 2
     _check_index(gamma, n, "gamma")
-    _, coherence = _blocks(n)
+    _, x, copies = _slice_blocks(n)
     scale = 1.0 / (n - 1)
     diagonal = scale * (1.0 - rho.entries.diagonal().real)
     canonical = _two_path_embedding(rho, diagonal, scale)
-    # the first rows of the coherence block follow the pairs in order
-    for (j, k), value in zip(coherence_pairs(n), coherence[:, gamma - 1]):
+    # B's first rows, the copies of conj(x), follow the pairs in order
+    column = np.tile(np.conj(x[:, gamma - 1]), copies) / (n - 1)
+    for (j, k), value in zip(coherence_pairs(n), column):
         canonical[(1, j, k)] = value / _SQRT3
     return hermitian_complete(canonical, n, is_state=True)
 

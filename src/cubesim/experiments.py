@@ -36,7 +36,8 @@ def run_cube_ifm(n_paths: int, tol: float = DEFAULT_TOL) -> IFMResult:
     path-1 cube to within ``tol``, the only comparison ``tol`` sets.
 
     Every step runs on sub-basis coordinates and on the blocks A and B of
-    the multiport, in O(dN) work; no d x d matrix and no cube is built.
+    the multiport, in O(dN) work with the construction check's O(N^3) on
+    the phase slice; no d x d matrix and no cube is built.
     Path cube 1 has coordinates e_1, so the inside cube is column 1 of
     ``[A; B]``.  The multiport maps populations p and coherences c to
     ``(A p + B+ c, B p + c - k B B+ c)`` with ``k = (N-1)/N``, and the gap

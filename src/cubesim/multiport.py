@@ -8,23 +8,24 @@ sub-basis; the ones built here are self-adjoint involutions that map each
 path cube onto a pure cube with *no* population in that path, the key
 ingredient of a perfect interaction-free measurement.
 
-The construction stacks phase rows taken from the discrete Fourier
-transform into a rectangular phase matrix and fixes the population block
-A and the coherence block B from the required images of the path cubes.
-The closing block is ``D = sqrt(1 - B B+)``; since ``B B+`` has the
-two-point spectrum {0, N(N-2)/(N-1)^2}, this root has the closed form
+The construction stacks copies of one slice x of discrete Fourier rows
+into a rectangular phase matrix and fixes the population block A and the
+coherence block B from the required images of the path cubes.  The
+closing block is ``D = sqrt(1 - B B+)``; since ``B B+`` has the two-point
+spectrum {0, N(N-2)/(N-1)^2}, this root has the closed form
 ``D = 1 - ((N-1)/N) B B+`` with spectrum {1, 1/(N-1)}.
 
-A and B fix the whole multiport, so construction checks only two N x N
-identities of B: the scaled Gram matrix ``(N-1)^2 B+B = (N-2)(N id -
-ones)`` and ``B 1 = 0``.  Together they imply ``M M = id`` (see
-:func:`_blocks`); :func:`verify_multiport` measures the residuals from them.
+A and B fix the whole multiport, and A and x fix B, so construction checks
+two N x N identities on the slice: ``(N-1)^2 B+B = 2 copies Re(x+x) =
+(N-2)(N id - ones)`` and ``x 1 = 0``.  Together they imply ``M M = id``
+(see :func:`_slice_blocks`); :func:`verify_multiport` measures the
+residuals from A and x.
 
 On root-of-unity conventions: :func:`build_phase_matrix` uses
 ``exp(+i 2 pi / N)`` while the optimal cubes (and hence the assembled
 transformations) carry the conjugated phases.  The blocks A and B hold
-that family once; :func:`optimal_cubes` and the three-path phases of
-:func:`cubesim.cubes.nonquantum_cube` are read from them.  Both choices
+that family once; :func:`optimal_cubes` reads them, and the three-path
+phases of :func:`cubesim.cubes.nonquantum_cube` are read from x.  Both choices
 solve the same orthonormality equations; the conjugated one matches the
 tabulated four-path cube family entry for entry.
 """
@@ -56,21 +57,18 @@ def coherence_pairs(n_paths: int) -> list[tuple[int, int]]:
     ]
 
 
-def fourier_row_exponents(n_paths: int) -> list[int]:
-    """Fourier row index q assigned to each stacked phase-matrix row.
-
-    Even N stacks (N-2)/2 copies of the rows q = 1..N-1; odd N stacks
-    N-2 copies of the rows q = 1..(N-1)/2.  Row r of the phase matrix
-    carries phases ``w^(q_r * (n-1))`` across the columns n = 1..N.
-    """
+def _phase_slice(n_paths: int) -> tuple[np.ndarray, int]:
+    """Distinct rows x of the phase matrix and the number of their copies:
+    the Fourier rows q = 1..N-1, (N-2)/2 times, for even N, and q =
+    1..(N-1)/2, N-2 times, for odd N.  Row q holds ``w^(q (n-1))`` in
+    column n = 1..N."""
     _check_paths(n_paths, 3)
     if n_paths % 2 == 0:
-        block = list(range(1, n_paths))
-        copies = (n_paths - 2) // 2
+        rows, copies = np.arange(1, n_paths), (n_paths - 2) // 2
     else:
-        block = list(range(1, (n_paths - 1) // 2 + 1))
-        copies = n_paths - 2
-    return block * copies
+        rows, copies = np.arange(1, (n_paths - 1) // 2 + 1), n_paths - 2
+    angles = 2.0 * np.pi * np.outer(rows, np.arange(n_paths)) / n_paths
+    return np.exp(1j * angles), copies
 
 
 def build_phase_matrix(n_paths: int) -> np.ndarray:
@@ -78,14 +76,12 @@ def build_phase_matrix(n_paths: int) -> np.ndarray:
 
     Column n holds the unimodular three-path phases of cube n, one row per
     coherence pair in lexicographic order, so the shape is
-    ((N-1)(N-2)/2, N).  Distinct columns obey the fixed-overlap condition
-    ``2 Re(x_m . x_n) = 2 - N`` that encodes orthogonality of the cubes;
-    :func:`_blocks` checks it.
+    ((N-1)(N-2)/2, N), the copies of :func:`_phase_slice`.  Distinct
+    columns obey the fixed-overlap condition ``2 Re(x_m . x_n) = 2 - N``
+    that encodes orthogonality of the cubes; :func:`_slice_blocks` checks it.
     """
-    exponents = np.asarray(fourier_row_exponents(n_paths))
-    columns = np.arange(n_paths)
-    angles = 2.0 * np.pi * np.outer(exponents, columns) / n_paths
-    return np.exp(1j * angles)
+    x, copies = _phase_slice(n_paths)
+    return np.tile(x, (copies, 1))
 
 
 @functools.cache
@@ -227,40 +223,43 @@ def _matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.stack([_matvec(x, column) for column in y.T], axis=1)
 
 
-def _gram(b: np.ndarray) -> np.ndarray:
-    return _matmul(b.conj().T, b)  # B+B, the N x N Gram matrix
+def _slice_blocks(n_paths: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Population block ``A = (ones - id) / (N - 1)``, phase slice x and
+    copy count.  B stacks the copies of ``conj(x) / (N - 1)`` over their
+    conjugates, so ``(N-1)^2 B+B = 2 copies Re(x+x)``, and ``B 1 = 0`` iff
+    ``x 1 = 0``.
 
-
-def _blocks(n_paths: int) -> tuple[np.ndarray, np.ndarray]:
-    """Population block A and coherence block B of the N-path multiport.
-
-    ``A = (ones - id) / (N - 1)``.  Column n of ``[A; B]`` holds the
-    sub-basis coordinates of optimal cube n: populations 1/(N-1) off path
-    n, then the conjugated phase rows of :func:`build_phase_matrix` and
-    their conjugates, all over N - 1.
-
-    Raises unless ``(N-1)^2 B+B = (N-2)(N id - ones)`` and ``B 1 = 0``
-    hold entrywise within ``MATRIX_TOL``.  The first is the fixed-overlap
-    condition with its diagonal; call its right side ``(N-1)^2 G0``.
-    Since ``A^2 + G0 = id``, ``A + id - k G0 = (2/N) ones`` and
-    ``(1 - 2k) id + k^2 G0 = -((N-2)/N^2) ones`` with ``k = (N-1)/N``,
-    the two conditions make every block of ``M M - id`` vanish for the
-    assembled M, so they are its whole construction check.
+    Raises unless ``2 copies Re(x+x) = (N-2)(N id - ones)`` and ``x 1 = 0``
+    hold entrywise within ``MATRIX_TOL``, checked in O(N^3) with no BLAS.
+    With ``G0 = (N-2)(N id - ones) / (N-1)^2`` and ``k = (N-1)/N``,
+    ``A^2 + G0 = id``, ``A + id - k G0 = (2/N) ones`` and ``(1 - 2k) id +
+    k^2 G0 = -((N-2)/N^2) ones``, so ``B+B = G0`` and ``B 1 = 0`` make
+    every block of ``M M - id`` vanish for the assembled M: they are its
+    whole construction check.
     """
     n = n_paths
-    a = (np.ones((n, n)) - np.eye(n)) / (n - 1)
-    phases = np.conj(build_phase_matrix(n))
-    b = np.vstack([phases, np.conj(phases)]) / (n - 1)
+    x, copies = _phase_slice(n)
     target = (n - 2) * (n * np.eye(n) - np.ones((n, n)))
-    gram = np.abs((n - 1) ** 2 * _gram(b) - target).max()
-    kernel = np.abs(b.sum(axis=1)).max()
+    gram = np.abs(2 * copies * _matmul(x.conj().T, x).real - target).max()
+    kernel = np.abs(x.sum(axis=1)).max()
     # written as ``not (residual <= MATRIX_TOL)`` so that a NaN fails
     if not (gram <= MATRIX_TOL and kernel <= MATRIX_TOL):
         raise ValueError(
             f"coherence block for N={n} breaks B+B = G0 or B 1 = 0 "
             f"(Gram residual {gram:.3e}, row-sum residual {kernel:.3e})"
         )
-    return a, b
+    return (np.ones((n, n)) - np.eye(n)) / (n - 1), x, copies
+
+
+def _blocks(n_paths: int) -> tuple[np.ndarray, np.ndarray]:
+    """A and the stacked coherence block B, for the readers whose bytes
+    depend on B's rows.  Column n of ``[A; B]`` holds the sub-basis
+    coordinates of optimal cube n: populations 1/(N-1) off path n, then the
+    conjugated rows of :func:`build_phase_matrix` and their conjugates, all
+    over N - 1.  Raises where :func:`_slice_blocks` does."""
+    a, x, copies = _slice_blocks(n_paths)
+    phases = np.tile(np.conj(x), (copies, 1))
+    return a, np.vstack([phases, np.conj(phases)]) / (n_paths - 1)
 
 
 def optimal_cubes(n_paths: int) -> list[HermitianCube]:
@@ -404,39 +403,38 @@ def verify_multiport(n_paths: int) -> MultiportReport:
     involution and self-adjointness residuals (Frobenius norm), the
     Hermiticity pairing, the population sum, and the two block spectra.
 
-    Every residual is read from A and B of :func:`_blocks` (which may
-    raise) with no d x d matrix and no BLAS product; the one LAPACK call
-    is ``eigvalsh`` of the N x N Gram matrix ``G = B+B``, so the bits do
-    not depend on the BLAS thread count.  With ``k = (N-1)/N`` the
-    multiport ``[[A, B+], [B, id - k B B+]]`` is self-adjoint iff A is.
-    The blocks of ``M M - id`` are ``A A + G - id``, ``B (A + id - k G)``
-    and its adjoint, and ``W B+`` with ``W = B ((1 - 2k) id + k^2 G)``, of
-    squared norm ``tr(W+ W G)``; W and ``B (A + id - k G)`` are
-    rounding-sized, so nothing cancels.  M keeps the Hermiticity pairing
-    iff A is real and B's conjugate rows are conjugate, and then keeps the
-    population sum iff A's column sums are 1 and B's row sums 0.  The
-    closing block's eigenvalues are ``1 - k lambda`` over G's eigenvalues
-    lambda, and 1 elsewhere.
+    Every residual is read from A and the phase slice x of
+    :func:`_slice_blocks` (which may raise), with no d x d matrix, no
+    stacked B and no BLAS product; the one LAPACK call is ``eigvalsh`` of
+    ``G = B+B = s Re(x+x)``, ``s = 2 copies / (N-1)^2``, so the bits do not
+    depend on the BLAS thread count.  With ``k = (N-1)/N`` the multiport
+    ``[[A, B+], [B, id - k B B+]]`` is self-adjoint iff A is.  The blocks of
+    ``M M - id`` are ``A A + G - id``, ``B (A + id - k G)`` and its adjoint,
+    and ``W B+`` with ``W = B ((1 - 2k) id + k^2 G)``, of squared norm
+    ``tr(W+ W G)``; W and ``B (A + id - k G)`` are rounding-sized, so
+    nothing cancels.  For real Y, ``|B Y|^2 = s |x Y|^2`` and
+    ``(B Y)+ (B Y) = s Re((x Y)+ (x Y))``.  M keeps the Hermiticity pairing
+    iff A is real and B's conjugate rows are conjugate, as built, and then
+    keeps the population sum iff A's column sums are 1 and B's row sums,
+    those of ``x / (N-1)`` up to conjugation, 0.  The closing block's
+    eigenvalues are 1 and ``1 - k lambda`` over G's eigenvalues lambda.
     """
     n = n_paths
-    a, b = _blocks(n)
-    eye, k = np.eye(n), (n - 1) / n
-    gram = _gram(b)
-    cross = _matmul(b, a + eye - k * gram)
-    w = _matmul(b, (1 - 2 * k) * eye + k**2 * gram)
-    closing = float((_matmul(w.conj().T, w) * gram.T).sum().real)
-    involution = _squared_norm(_matmul(a, a) + gram - eye) + 2 * _squared_norm(cross) + closing
+    a, x, copies = _slice_blocks(n)
+    eye, k, s = np.eye(n), (n - 1) / n, 2 * copies / (n - 1) ** 2
+    gram = s * _matmul(x.conj().T, x).real
+    cross = _matmul(x, a + eye - k * gram)
+    w = _matmul(x, (1 - 2 * k) * eye + k**2 * gram)
+    closing = s * float((_matmul(w.conj().T, w).real * gram.T).sum())
+    involution = _squared_norm(_matmul(a, a) + gram - eye) + 2 * s * _squared_norm(cross) + closing
 
-    half = len(b) // 2
-    pairing = max(np.abs(a.imag).max(), np.abs(b[half:] - np.conj(b[:half])).max())
-    drift = max(np.abs(a.sum(axis=0) - 1).max(), np.abs(b.sum(axis=1)).max())
-
+    drift = max(np.abs(a.sum(axis=0) - 1).max(), np.abs((x / (n - 1)).sum(axis=1)).max())
     eigs = np.linalg.eigvalsh(gram)
     return MultiportReport(
         n_paths=n,
         adjoint_residual=float(np.sqrt(_squared_norm(a - a.T))),
         involution_residual=float(np.sqrt(involution)),
-        pairing_violation=float(pairing),
+        pairing_violation=float(np.abs(a.imag).max()),
         diagonal_sum_drift=float(drift),
         d_spectrum_deviation=_spectrum_deviation(1 - k * eigs, (1.0, 1.0 / (n - 1))),
         bb_spectrum_deviation=_spectrum_deviation(eigs, (0.0, n * (n - 2) / (n - 1) ** 2)),

@@ -100,3 +100,16 @@ def out_of_place_multiport(n):
     expected[:n, n:] = b.conj().T
     expected[n:, n:] = np.eye(d - n) - ((n - 1) / n) * (b @ b.conj().T)
     return expected
+
+
+def stacked_phase_matrix(n):
+    """The stacked Fourier phase matrix from a repeated list of row
+    exponents: (N-2)/2 copies of q = 1..N-1 for even N, N-2 copies of
+    q = 1..(N-1)/2 for odd N, each row ``exp(i 2 pi q c / N)`` over the
+    columns c = 0..N-1."""
+    if n % 2 == 0:
+        exponents = list(range(1, n)) * ((n - 2) // 2)
+    else:
+        exponents = list(range(1, (n - 1) // 2 + 1)) * (n - 2)
+    angles = 2.0 * np.pi * np.outer(np.asarray(exponents), np.arange(n)) / n
+    return np.exp(1j * angles)

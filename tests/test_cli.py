@@ -208,13 +208,14 @@ BYTE_CONTRACT_ARGV = (
 )
 
 # Runs each argv through cli.main in one interpreter and prints, as JSON,
-# its exit code, stderr and stdout's sha256, and for N = 3..32 whether the
-# assembled multiport equals the out-of-place formula bit for bit.
+# its exit code, stderr and stdout's sha256, for N = 3..32 whether the
+# assembled multiport equals the out-of-place formula bit for bit, and the
+# verify reports for N = 48, 64 and 128, above the CLI cap.
 THREAD_CHILD = """
 import contextlib, hashlib, io, json, sys
 import numpy as np
 from cubesim import cli
-from cubesim.multiport import assemble_multiport
+from cubesim.multiport import assemble_multiport, verify_multiport
 from oracles import out_of_place_multiport
 
 runs = []
@@ -229,13 +230,15 @@ bits = [
     )
     for n in range(3, 33)
 ]
-print(json.dumps({"runs": runs, "bits": bits}))
+reports = [repr(verify_multiport(n)) for n in (48, 64, 128)]
+print(json.dumps({"runs": runs, "bits": bits, "reports": reports}))
 """
 
 
 def test_cli_bytes_do_not_depend_on_the_blas_thread_count():
     # a product whose summation order follows the BLAS thread split, such as
-    # a BLAS `@` in multiport._gram, moves a bit in some report here
+    # a BLAS `@` of B+B over the stacked B in verify_multiport, moves a bit in
+    # some report here
     paths = [str(Path(cli.__file__).parents[1]), str(Path(__file__).parent)]
     pythonpath = os.pathsep.join(filter(None, [*paths, os.environ.get("PYTHONPATH")]))
     reports = {}

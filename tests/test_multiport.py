@@ -8,11 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubesim.cubes import basis_cube, nonquantum_cube
+from cubesim.experiments import run_cube_ifm
 from cubesim.multiport import (
     MATRIX_TOL,
     MultiportMatrix,
     MultiportReport,
     _blocks,
+    _matmul,
+    _phase_slice,
     apply_transform,
     assemble_multiport,
     build_phase_matrix,
@@ -33,6 +36,7 @@ from oracles import (
     interferometer_cube,
     oracle_complete,
     out_of_place_multiport,
+    stacked_phase_matrix,
 )
 
 
@@ -396,6 +400,14 @@ def test_phase_matrix_invariants(n):
     np.testing.assert_allclose(np.abs(x), 1.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("n", range(3, 33))
+def test_phase_matrix_is_bit_identical_to_the_stacked_formula(n):
+    # the tiled slice keeps every bit of the stacked table, and with it
+    # the dump-matrix bytes
+    expected = stacked_phase_matrix(n)
+    assert np.array_equal(build_phase_matrix(n).view(np.int64), expected.view(np.int64))
+
+
 def test_phase_matrix_needs_three_paths():
     with pytest.raises(ValueError, match="at least 3"):
         build_phase_matrix(2)
@@ -612,14 +624,16 @@ def test_block_report_matches_dense_oracle(n):
 
 
 def test_verify_holds_no_dense_matrix():
-    # half of one d x d complex matrix at N = 32 (d = 962)
-    tracemalloc.start()
-    try:
-        verify_multiport(32)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 962**2 * 16 / 2
+    # half of one d x d complex matrix at N = 32 (d = 962), and one stacked
+    # R x N complex block B at N = 128 (R = 127 * 126)
+    for n, limit in [(32, 962**2 * 16 / 2), (128, 127 * 126 * 128 * 16)]:
+        tracemalloc.start()
+        try:
+            verify_multiport(n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < limit, n
 
 
 def corrupted_three_path_multiport(entries=((0, 1, 1e-3),)):
@@ -757,10 +771,11 @@ def test_closed_form_identities_behind_the_construction_check(n):
 
 @pytest.mark.parametrize("n", range(3, 33))
 def test_construction_check_residuals_have_headroom(n):
-    _, b = _blocks(n)
+    # the residuals the check compares, on the phase slice
+    x, copies = _phase_slice(n)
     target = (n - 2) * (n * np.eye(n) - np.ones((n, n)))
-    assert np.abs((n - 1) ** 2 * (b.conj().T @ b) - target).max() <= MATRIX_TOL / 100
-    assert np.abs(b.sum(axis=1)).max() <= MATRIX_TOL / 100
+    assert np.abs(2 * copies * _matmul(x.conj().T, x).real - target).max() <= MATRIX_TOL / 100
+    assert np.abs(x.sum(axis=1)).max() <= MATRIX_TOL / 100
 
 
 BLOCK_READERS = {
@@ -768,6 +783,7 @@ BLOCK_READERS = {
     "optimal_cubes": optimal_cubes,
     "verify_multiport": verify_multiport,
     "nonquantum_cube": lambda n: nonquantum_cube(DensityMatrix.maximally_mixed(n), 1),
+    "run_cube_ifm": run_cube_ifm,
 }
 
 
@@ -776,9 +792,9 @@ BLOCK_READERS = {
 def test_construction_check_rejects_a_corrupted_phase_table(corruption, reader, monkeypatch):
     # a NaN residual compares false against any tolerance, so a check written
     # as "residual > tol" would let the NaN table through
-    table = build_phase_matrix(5)
-    table[1, 2] = np.nan if corruption == "nan" else table[1, 2] * np.exp(1e-4j)
-    monkeypatch.setattr("cubesim.multiport.build_phase_matrix", lambda n_paths: table)
+    x, copies = _phase_slice(5)
+    x[1, 2] = np.nan if corruption == "nan" else x[1, 2] * np.exp(1e-4j)
+    monkeypatch.setattr("cubesim.multiport._phase_slice", lambda n_paths: (x, copies))
     with pytest.raises(ValueError, match=r"breaks B\+B = G0 or B 1 = 0"):
         BLOCK_READERS[reader](5)
 
