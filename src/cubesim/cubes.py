@@ -77,7 +77,7 @@ def nonquantum_cube(rho: DensityMatrix, gamma: int) -> HermitianCube:
     n = rho.n_paths
     _check_paths(n, 3)  # no three-path slot exists for N = 2
     _check_index(gamma, n, "gamma")
-    _, x, copies = _slice_blocks(n)
+    _, x, copies, _ = _slice_blocks(n)
     scale = 1.0 / (n - 1)
     diagonal = scale * (1.0 - rho.entries.diagonal().real)
     canonical = _two_path_embedding(rho, diagonal, scale)

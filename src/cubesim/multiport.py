@@ -223,11 +223,11 @@ def _matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.stack([_matvec(x, column) for column in y.T], axis=1)
 
 
-def _slice_blocks(n_paths: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """Population block ``A = (ones - id) / (N - 1)``, phase slice x and
-    copy count.  B stacks the copies of ``conj(x) / (N - 1)`` over their
-    conjugates, so ``(N-1)^2 B+B = 2 copies Re(x+x)``, and ``B 1 = 0`` iff
-    ``x 1 = 0``.
+def _slice_blocks(n_paths: int) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
+    """Population block ``A = (ones - id) / (N - 1)``, phase slice x, copy
+    count and the real Gram ``Re(x+x)``.  B stacks the copies of
+    ``conj(x) / (N - 1)`` over their conjugates, so ``(N-1)^2 B+B =
+    2 copies Re(x+x)``, and ``B 1 = 0`` iff ``x 1 = 0``.
 
     Raises unless ``2 copies Re(x+x) = (N-2)(N id - ones)`` and ``x 1 = 0``
     hold entrywise within ``MATRIX_TOL``, checked in O(N^3) with no BLAS.
@@ -240,7 +240,8 @@ def _slice_blocks(n_paths: int) -> tuple[np.ndarray, np.ndarray, int]:
     n = n_paths
     x, copies = _phase_slice(n)
     target = (n - 2) * (n * np.eye(n) - np.ones((n, n)))
-    gram = np.abs(2 * copies * _matmul(x.conj().T, x).real - target).max()
+    overlap = _matmul(x.conj().T, x).real
+    gram = np.abs(2 * copies * overlap - target).max()
     kernel = np.abs(x.sum(axis=1)).max()
     # written as ``not (residual <= MATRIX_TOL)`` so that a NaN fails
     if not (gram <= MATRIX_TOL and kernel <= MATRIX_TOL):
@@ -248,7 +249,7 @@ def _slice_blocks(n_paths: int) -> tuple[np.ndarray, np.ndarray, int]:
             f"coherence block for N={n} breaks B+B = G0 or B 1 = 0 "
             f"(Gram residual {gram:.3e}, row-sum residual {kernel:.3e})"
         )
-    return (np.ones((n, n)) - np.eye(n)) / (n - 1), x, copies
+    return (np.ones((n, n)) - np.eye(n)) / (n - 1), x, copies, overlap
 
 
 def _blocks(n_paths: int) -> tuple[np.ndarray, np.ndarray]:
@@ -257,7 +258,7 @@ def _blocks(n_paths: int) -> tuple[np.ndarray, np.ndarray]:
     coordinates of optimal cube n: populations 1/(N-1) off path n, then the
     conjugated rows of :func:`build_phase_matrix` and their conjugates, all
     over N - 1.  Raises where :func:`_slice_blocks` does."""
-    a, x, copies = _slice_blocks(n_paths)
+    a, x, copies, _ = _slice_blocks(n_paths)
     phases = np.tile(np.conj(x), (copies, 1))
     return a, np.vstack([phases, np.conj(phases)]) / (n_paths - 1)
 
@@ -403,7 +404,7 @@ def verify_multiport(n_paths: int) -> MultiportReport:
     involution and self-adjointness residuals (Frobenius norm), the
     Hermiticity pairing, the population sum, and the two block spectra.
 
-    Every residual is read from A and the phase slice x of
+    Every residual is read from A, the phase slice x and its real Gram of
     :func:`_slice_blocks` (which may raise), with no d x d matrix, no
     stacked B and no BLAS product; the one LAPACK call is ``eigvalsh`` of
     ``G = B+B = s Re(x+x)``, ``s = 2 copies / (N-1)^2``, so the bits do not
@@ -420,9 +421,9 @@ def verify_multiport(n_paths: int) -> MultiportReport:
     eigenvalues are 1 and ``1 - k lambda`` over G's eigenvalues lambda.
     """
     n = n_paths
-    a, x, copies = _slice_blocks(n)
+    a, x, copies, overlap = _slice_blocks(n)
     eye, k, s = np.eye(n), (n - 1) / n, 2 * copies / (n - 1) ** 2
-    gram = s * _matmul(x.conj().T, x).real
+    gram = s * overlap
     cross = _matmul(x, a + eye - k * gram)
     w = _matmul(x, (1 - 2 * k) * eye + k**2 * gram)
     closing = s * float((_matmul(w.conj().T, w).real * gram.T).sum())

@@ -35,39 +35,34 @@ def _as_square(entries: object, n_paths: int, what: str) -> np.ndarray:
     return arr
 
 
-# The checks below are written as ``not (value <= bound)`` so that a NaN
-# fails them.
-
-def _check_hermitian_unit_trace(arr: np.ndarray) -> None:
-    if not np.abs(arr - arr.conj().T).max() <= DEFAULT_TOL:
-        raise ValueError("density matrix is not Hermitian within tolerance")
-    trace = complex(arr.trace())
-    if not abs(trace - 1.0) <= DEFAULT_TOL:
-        raise ValueError(f"density matrix trace is {trace}, expected 1")
-
-
-def _check_lowest_eigenvalue(lowest: float) -> None:
-    if not lowest >= -DEFAULT_TOL:
-        raise ValueError(f"density matrix has negative eigenvalue {lowest:.3e}")
-
-
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """N x N density matrix: Hermitian, unit trace, positive semidefinite."""
 
     n_paths: int
     entries: np.ndarray
-    # ascending spectrum and eigenvectors (columns) of ``entries``, kept
-    # from the validating decomposition so later steps need no eigensolver
+    # kept from validation: the ascending spectrum and eigenvectors (columns)
+    # of ``entries``, so later steps need no eigensolver, and the largest residual
     _eigenvalues: np.ndarray = field(init=False, repr=False)
     _eigenvectors: np.ndarray = field(init=False, repr=False)
+    _residual: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         arr = _as_square(self.entries, self.n_paths, "density matrix")
-        _check_hermitian_unit_trace(arr)
+        # each check reads ``not (value <= bound)`` so that a NaN fails it
+        hermiticity = float(np.abs(arr - arr.conj().T).max())
+        if not hermiticity <= DEFAULT_TOL:
+            raise ValueError("density matrix is not Hermitian within tolerance")
+        trace = complex(arr.trace())
+        trace_drift = abs(trace - 1.0)
+        if not trace_drift <= DEFAULT_TOL:
+            raise ValueError(f"density matrix trace is {trace}, expected 1")
         eigenvalues, eigenvectors = np.linalg.eigh(arr)
-        _check_lowest_eigenvalue(float(eigenvalues[0]))
+        lowest = float(eigenvalues[0])
+        if not lowest >= -DEFAULT_TOL:
+            raise ValueError(f"density matrix has negative eigenvalue {lowest:.3e}")
         _freeze(self, "entries", arr)
+        object.__setattr__(self, "_residual", max(hermiticity, trace_drift, -lowest))
         for name, fresh in (("_eigenvalues", eigenvalues), ("_eigenvectors", eigenvectors)):
             fresh.setflags(write=False)  # so that _freeze adopts it
             _freeze(self, name, fresh)
@@ -138,12 +133,16 @@ def _lueders(rho: DensityMatrix, path: int) -> tuple[float, np.ndarray]:
     """Trigger probability and the stack of the entries of ``rho`` and of
     the not-found state ``rho_tilde``, which quantum_ifm's einsum reads.
 
-    ``rho_tilde`` passes the checks of ``DensityMatrix`` with its messages.
-    Positivity follows from Cauchy interlacing: zeroing a row and column
-    keeps every eigenvalue at or above ``min(0, lambda_min(rho))``, so the
-    renormalized state's lowest eigenvalue is at least that over
-    ``1 - p``.  The explicit eigenvalue check runs only when that bound
-    leaves less than half of ``DEFAULT_TOL`` for solver rounding.
+    ``rho_tilde`` is rho with row and column ``b = path`` zeroed, over
+    ``kept = 1 - p``.  Its Hermiticity residual is rho's over ``kept``; its
+    trace drift is at most rho's plus ``|Im rho[b, b]|``, half the
+    Hermiticity residual, over ``kept``; by Cauchy interlacing on the
+    triangle that ``eigh`` reads, its lowest eigenvalue is at least
+    ``min(0, lambda_min(rho)) / kept``.  So if rho's largest residual r
+    obeys ``r + (N + 2) eps <= DEFAULT_TOL kept / 2``, with eps covering
+    rounding, all three stay within ``3/4 DEFAULT_TOL`` and ``rho_tilde``
+    needs no check.  Otherwise it is validated as a ``DensityMatrix``,
+    which raises with its messages.
     """
     p_trigger = rho.probability(path)
     kept = _not_found(p_trigger)
@@ -153,9 +152,8 @@ def _lueders(rho: DensityMatrix, path: int) -> tuple[float, np.ndarray]:
     tilde[path - 1, :] = 0.0
     tilde[:, path - 1] = 0.0
     tilde /= kept
-    _check_hermitian_unit_trace(tilde)
-    if rho._eigenvalues[0] < -0.5 * DEFAULT_TOL * kept:
-        _check_lowest_eigenvalue(float(np.linalg.eigvalsh(tilde).min()))
+    if not rho._residual + (rho.n_paths + 2) * _EPS <= 0.5 * DEFAULT_TOL * kept:
+        DensityMatrix(rho.n_paths, tilde)
     return p_trigger, states
 
 

@@ -388,13 +388,91 @@ def test_validated_spectrum_serves_every_later_step(rng, eigensolver_calls):
     assert eigensolver_calls == ["eigh"]
 
 
-def test_interlacing_fallback_solves_one_eigenproblem(eigensolver_calls):
-    # lowest eigenvalue -4e-11 lies below -1/2 * 1e-10 * (1 - p) at p = 1/2,
-    # so the explicit check runs; the not-found state's -8e-11 passes it
+def test_uncertified_not_found_state_is_validated_by_one_eigh(eigensolver_calls):
+    # rho's residual 4e-11 exceeds 1/2 * 1e-10 * (1 - p) at p = 1/2, so the
+    # not-found state is validated as a DensityMatrix; its -8e-11 passes
     rho = DensityMatrix(3, np.diag([0.5, 0.5 + 4e-11, -4e-11]).astype(complex))
     del eigensolver_calls[:]
     quantum_ifm(rho, fourier_unitary(3), bomb_path=1)
-    assert eigensolver_calls == ["eigvalsh"]
+    assert eigensolver_calls == ["eigh"]
+
+
+def test_certified_trial_on_an_exactly_hermitian_state_runs_no_eigensolver(
+    eigensolver_calls,
+):
+    rho = inject_first_path(fourier_unitary(5))
+    np.testing.assert_array_equal(rho.entries, rho.entries.conj().T)
+    del eigensolver_calls[:]
+    quantum_ifm(rho, fourier_unitary(5), bomb_path=2)
+    assert eigensolver_calls == []
+
+
+# --- certification of the not-found state -------------------------------------
+# _lueders skips validating the not-found state when rho's residual r obeys
+# r + (N + 2) eps <= DEFAULT_TOL (1 - p) / 2.  These inputs put r just below
+# and just above that line at N = 3, p = 1/2 (where it sits near 2.5e-11),
+# one invariant at a time.
+
+_CERTIFY_LINE = 0.25 * DEFAULT_TOL
+BOUNDARY_INPUTS = {
+    f"{invariant}-{side}": build(_CERTIFY_LINE * (1 + shift))
+    for side, shift in (("below", -1e-3), ("above", 1e-3))
+    for invariant, build in (
+        ("eigenvalue", lambda d: np.diag([0.5, 0.5 + d, -d])),
+        ("trace", lambda d: np.diag([0.5, 0.25 + d, 0.25])),
+        ("hermiticity", lambda d: np.array([[0.5, 0, 0], [0, 0.25, 0.1 + d], [0, 0.1, 0.25]])),
+    )
+}
+
+
+def _not_found_entries(rho, bomb):
+    """rho's not-found state, by the same arithmetic as the pipeline."""
+    tilde = rho.entries.copy()
+    tilde[bomb - 1, :] = 0.0
+    tilde[:, bomb - 1] = 0.0
+    tilde /= 1.0 - rho.probability(bomb)
+    return tilde
+
+
+def _error(call):
+    try:
+        call()
+    except ValueError as err:
+        return str(err)
+    return None
+
+
+def _assert_certification_agrees(rho, u2, bomb):
+    expected = _error(lambda: DensityMatrix(rho.n_paths, _not_found_entries(rho, bomb)))
+    assert _error(lambda: luders_remove_path(rho, bomb)) == expected
+    assert _error(lambda: quantum_ifm(rho, u2, bomb)) == expected
+
+
+@pytest.mark.parametrize("case", BOUNDARY_INPUTS)
+def test_certification_boundary_decides_whether_to_validate(case, eigensolver_calls):
+    rho = DensityMatrix(3, BOUNDARY_INPUTS[case].astype(complex))
+    certified = case.endswith("below")
+    assert (rho._residual + 5 * np.finfo(float).eps <= 0.5 * DEFAULT_TOL * 0.5) == certified
+    del eigensolver_calls[:]
+    quantum_ifm(rho, fourier_unitary(3), bomb_path=1)
+    assert eigensolver_calls == ([] if certified else ["eigh"])
+
+
+@pytest.mark.parametrize("case", [*BOUNDARY_INPUTS, *LUEDERS_DEFECTS])
+def test_certification_agrees_with_full_validation(case):
+    entries = BOUNDARY_INPUTS[case] if case in BOUNDARY_INPUTS else LUEDERS_DEFECTS[case][0]
+    _assert_certification_agrees(DensityMatrix(3, entries.astype(complex)), fourier_unitary(3), 1)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_certification_agrees_with_full_validation_on_random_states(n):
+    rng = np.random.default_rng(2200 + n)
+    states = [random_pure_state(n, rng)]
+    states += [random_density_matrix(n, rng, rank=rank) for rank in range(1, n + 1)]
+    for rho in states:
+        u2 = random_unitary(n, rng)
+        for bomb in range(1, n + 1):
+            _assert_certification_agrees(rho, u2, bomb)
 
 
 def test_kept_spectrum_is_read_only(rng):
