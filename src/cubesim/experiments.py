@@ -7,10 +7,12 @@ explicit seed.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .cubes import _probability
-from .multiport import _SQRT3, MultiportMatrix, _blocks, _matvec, to_coords
+from .multiport import _SQRT3, MultiportMatrix, _matvec, _slice_blocks, to_coords
 from .quantum import UnitaryMatrix, fourier_unitary, inject_first_path, quantum_ifm
 from .results import IFMResult, _csv
 from .tensor import DEFAULT_TOL, HermitianCube, _check_index, _check_paths, _not_found
@@ -35,32 +37,27 @@ def run_cube_ifm(n_paths: int, tol: float = DEFAULT_TOL) -> IFMResult:
     asserted at runtime by checking that the no-bomb output cube is the
     path-1 cube to within ``tol``, the only comparison ``tol`` sets.
 
-    Every step runs on sub-basis coordinates and on the blocks A and B of
-    the multiport, in O(dN) work with the construction check's O(N^3) on
-    the phase slice; no d x d matrix and no cube is built.
-    Path cube 1 has coordinates e_1, so the inside cube is column 1 of
-    ``[A; B]``.  The multiport maps populations p and coherences c to
-    ``(A p + B+ c, B p + c - k B B+ c)`` with ``k = (N-1)/N``, and the gap
-    is the largest entry of the no-bomb output minus the path cube; a
-    coherence coordinate is sqrt(3) times its cube entries.  Every
-    coherence cube of the sub-basis involves path 1, so the not-found
-    update keeps populations 2..N and renormalizes them.  P_? is row 1 of
-    the N x d product of the population rows ``[A | B+]`` with the updated
-    coordinates.  BLAS sums that row as it sums row 1 of the product with
-    the assembled d x d matrix, so the result matches the dense pipeline
-    bit for bit; a 1 x d product is one ulp off at some N.
+    Every step reads A and the slice x of :func:`_slice_blocks`, in O(N^2)
+    memory with no BLAS call; no stacked B, no d x d matrix and no cube is
+    built.  Path cube 1 has coordinates e_1, so the inside cube is column
+    1, ``(a_1, B e_1)``, of ``[A; B]`` and the no-bomb gap is the largest
+    entry of column 1 of ``M M - id``, a coherence coordinate counting
+    sqrt(3) times its cube entries.  With ``G = B+B = s Re(x+x)``, ``s = 2
+    copies / (N-1)^2`` and ``k = (N-1)/N`` (the names of
+    :func:`verify_multiport`), its populations are ``A a_1 + G e_1 - e_1``
+    and its coherences ``B (a_1 + e_1 - k G e_1)``, whose rows are those of
+    ``x (...) / (N-1)`` and their conjugates.  Every coherence cube of the
+    sub-basis involves path 1, so the not-found update keeps populations
+    2..N and renormalizes them, and P_? is A's row 1 times them, summed by
+    ``math.fsum`` with one rounding.
     """
     n = n_paths
-    a, b = _blocks(n)
-    back = _matvec(b.conj().T, b[:, 0])
-    no_bomb_populations = _matvec(a, a[:, 0]) + back - np.eye(n)[0]
-    no_bomb_coherences = _matvec(b, a[:, 0]) + b[:, 0] - (n - 1) / n * _matvec(b, back)
-    gap = float(
-        max(
-            np.abs(no_bomb_populations).max(),
-            np.abs(no_bomb_coherences).max() / _SQRT3,
-        )
-    )
+    a, x, copies, overlap = _slice_blocks(n)
+    e1, k, s = np.eye(n)[0], (n - 1) / n, 2 * copies / (n - 1) ** 2
+    g1 = s * overlap[:, 0]  # G e_1
+    populations = _matvec(a, a[:, 0]) + g1 - e1
+    coherences = _matvec(x, a[:, 0] + e1 - k * g1) / (n - 1)
+    gap = float(max(np.abs(populations).max(), np.abs(coherences).max() / _SQRT3))
     if not gap <= tol:
         raise ValueError(
             f"no-bomb output deviates from the injected path cube by {gap:.3e}; "
@@ -69,10 +66,8 @@ def run_cube_ifm(n_paths: int, tol: float = DEFAULT_TOL) -> IFMResult:
 
     bomb_population = float(a[0, 0])
     p_trigger = _probability(bomb_population)
-    updated = np.zeros(len(b) + n, dtype=complex)
-    updated[1:n] = a[1:, 0] / _not_found(bomb_population)
-    out = np.hstack([a, b.conj().T]) @ updated
-    p_inconclusive = (1.0 - p_trigger) * _probability(float(out[0].real))
+    updated = a[1:, 0] / _not_found(bomb_population)
+    p_inconclusive = (1.0 - p_trigger) * _probability(math.fsum(a[0, 1:] * updated))
     p_success = 1.0 - p_trigger - p_inconclusive
 
     return IFMResult(

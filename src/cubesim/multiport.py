@@ -371,7 +371,9 @@ class MultiportReport:
     ``d_spectrum_deviation`` measures how far the closing block's
     eigenvalues stray from the two admissible values {1, 1/(N-1)};
     ``bb_spectrum_deviation`` does the same for the coherence Gram block
-    against {0, N(N-2)/(N-1)^2}.
+    against {0, N(N-2)/(N-1)^2}.  ``pairing_violation`` is ``max|Im A|`` of
+    the real array A, so it is 0 at every N by construction; the test
+    oracle ``tests/oracles.py::dense_report`` measures the pairing.
     """
 
     n_paths: int

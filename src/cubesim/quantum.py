@@ -129,9 +129,10 @@ def inject_first_path(u1: UnitaryMatrix) -> DensityMatrix:
     return DensityMatrix.from_state_vector(u1.entries[:, 0])
 
 
-def _lueders(rho: DensityMatrix, path: int) -> tuple[float, np.ndarray]:
-    """Trigger probability and the stack of the entries of ``rho`` and of
-    the not-found state ``rho_tilde``, which quantum_ifm's einsum reads.
+def _lueders(rho: DensityMatrix, path: int) -> tuple[float, np.ndarray, DensityMatrix | None]:
+    """Trigger probability, the stack of the entries of ``rho`` and of the
+    not-found state ``rho_tilde``, which quantum_ifm's einsum reads, and
+    ``rho_tilde`` as a ``DensityMatrix`` if it had to be validated.
 
     ``rho_tilde`` is rho with row and column ``b = path`` zeroed, over
     ``kept = 1 - p``.  Its Hermiticity residual is rho's over ``kept``; its
@@ -152,9 +153,8 @@ def _lueders(rho: DensityMatrix, path: int) -> tuple[float, np.ndarray]:
     tilde[path - 1, :] = 0.0
     tilde[:, path - 1] = 0.0
     tilde /= kept
-    if not rho._residual + (rho.n_paths + 2) * _EPS <= 0.5 * DEFAULT_TOL * kept:
-        DensityMatrix(rho.n_paths, tilde)
-    return p_trigger, states
+    certified = rho._residual + (rho.n_paths + 2) * _EPS <= 0.5 * DEFAULT_TOL * kept
+    return p_trigger, states, None if certified else DensityMatrix(rho.n_paths, tilde)
 
 
 def luders_remove_path(rho: DensityMatrix, path: int) -> tuple[float, DensityMatrix]:
@@ -166,8 +166,8 @@ def luders_remove_path(rho: DensityMatrix, path: int) -> tuple[float, DensityMat
     certainly in the path (population at least ``1 - DEFAULT_TOL``),
     because the post-measurement state is then undefined.
     """
-    p_trigger, states = _lueders(rho, path)
-    return p_trigger, DensityMatrix(rho.n_paths, states[1])
+    p_trigger, states, checked = _lueders(rho, path)
+    return p_trigger, checked or DensityMatrix(rho.n_paths, states[1])
 
 
 def support_projector(rho: DensityMatrix) -> np.ndarray:
@@ -219,7 +219,7 @@ def quantum_ifm(
             f"dimension mismatch: state has {rho_inside.n_paths} paths, "
             f"unitary has {u2.n_paths}"
         )
-    p_trigger, states = _lueders(rho_inside, bomb_path)
+    p_trigger, states, _ = _lueders(rho_inside, bomb_path)
 
     u = u2.entries
     # one einsum for both states; a matmul form rounds differently

@@ -57,14 +57,14 @@ CUBE_IFM_JSON = """{
 """
 
 
-# float spellings as printed; at N = 32 p_inconclusive is one ulp above the bound
+# float spellings as printed; p_inconclusive equals the bound at each N
 @pytest.mark.parametrize(
     "n, bound, p_inconclusive, p_success",
     [
         (3, "0.5", "0.5", "0.5"),
         (4, "0.3333333333333333", "0.3333333333333333", "0.6666666666666667"),
         (12, "0.09090909090909091", "0.09090909090909091", "0.9090909090909091"),
-        (32, "0.03225806451612903", "0.03225806451612904", "0.967741935483871"),
+        (32, "0.03225806451612903", "0.03225806451612903", "0.967741935483871"),
     ],
 )
 def test_ifm_cube_json_bytes_are_pinned(capsys, n, bound, p_inconclusive, p_success):
@@ -209,12 +209,14 @@ BYTE_CONTRACT_ARGV = (
 
 # Runs each argv through cli.main in one interpreter and prints, as JSON,
 # its exit code, stderr and stdout's sha256, for N = 3..32 whether the
-# assembled multiport equals the out-of-place formula bit for bit, and the
-# verify reports for N = 48, 64 and 128, above the CLI cap.
+# assembled multiport equals the out-of-place formula bit for bit, and,
+# above the CLI cap, the verify reports for N = 48, 64 and 128 and the cube
+# IFM records for N = 64 and 128.
 THREAD_CHILD = """
 import contextlib, hashlib, io, json, sys
 import numpy as np
 from cubesim import cli
+from cubesim.experiments import run_cube_ifm
 from cubesim.multiport import assemble_multiport, verify_multiport
 from oracles import out_of_place_multiport
 
@@ -231,14 +233,15 @@ bits = [
     for n in range(3, 33)
 ]
 reports = [repr(verify_multiport(n)) for n in (48, 64, 128)]
+reports += [json.dumps(run_cube_ifm(n).to_json_dict()) for n in (64, 128)]
 print(json.dumps({"runs": runs, "bits": bits, "reports": reports}))
 """
 
 
 def test_cli_bytes_do_not_depend_on_the_blas_thread_count():
     # a product whose summation order follows the BLAS thread split, such as
-    # a BLAS `@` of B+B over the stacked B in verify_multiport, moves a bit in
-    # some report here
+    # a BLAS `@` of B+B over the stacked B in verify_multiport or of the N x d
+    # population rows in run_cube_ifm, moves a bit in some report here
     paths = [str(Path(cli.__file__).parents[1]), str(Path(__file__).parent)]
     pythonpath = os.pathsep.join(filter(None, [*paths, os.environ.get("PYTHONPATH")]))
     reports = {}
@@ -536,13 +539,13 @@ def test_tight_tolerance_names_no_construction_invariant(capsys, n, tol):
     assert not any(word in err for word in CONSTRUCTION_INVARIANTS)
 
 
-# README's figures: the gap is computed on the multiport blocks, 5.4e-16 at
-# N = 12 and 1.554e-15 at N = 32
+# README's figures: the gap is computed on A and the phase slice, 5.1e-16 at
+# N = 12 and 1.558e-15 at N = 32
 def test_cube_gap_at_the_rounding_level(capsys):
     assert run_cli(capsys, "ifm", "--model", "cube", "--n", "12", "--tol", "1e-15")[0] == 0
     code, out, err = run_cli(capsys, "ifm", "--model", "cube", "--n", "32", "--tol", "1e-15")
     assert (code, out) == (1, "")
-    assert "deviates from the injected path cube by 1.554e-15" in err
+    assert "deviates from the injected path cube by 1.558e-15" in err
 
 
 TOLERANCE_COMMANDS = pytest.mark.parametrize(

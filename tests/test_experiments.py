@@ -2,6 +2,7 @@ import json
 import math
 import tracemalloc
 from dataclasses import astuple
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -27,7 +28,7 @@ from cubesim.experiments import (
 )
 from cubesim.multiport import (
     MultiportMatrix,
-    _blocks,
+    _slice_blocks,
     apply_transform,
     assemble_multiport,
     from_coords,
@@ -55,7 +56,7 @@ def pipeline_oracle(n):
 def dense_cube_ifm(n):
     """The cube pipeline on dense cubes and the assembled d x d matrix:
     (result, no-bomb gap).  ``run_cube_ifm`` runs the same steps on the
-    blocks A and B."""
+    block A and the phase slice x."""
     transform = assemble_multiport(n)
     injected = basis_cube(n, 1)
     inside = apply_transform(transform, injected)
@@ -122,16 +123,39 @@ def test_general_run_matches_closed_form_oracle(n):
     assert result.p_inconclusive == pytest.approx(result.bound_value, abs=1e-12)
 
 
+def assert_within_one_and_a_half_ulp(result):
+    # P_? and P_v are 1/(N-1) and (N-2)/(N-1) in exact arithmetic; the dense
+    # pipeline's N x d product misses P_? by 1.83 ulp at N = 24
+    n = result.n_paths
+    for value, exact in [
+        (result.p_inconclusive, Fraction(1, n - 1)),
+        (result.p_success, Fraction(n - 2, n - 1)),
+    ]:
+        ulp = Fraction(math.ulp(float(exact)))
+        assert abs(Fraction(value) - exact) <= ulp * 3 / 2, (n, value)
+
+
 @pytest.mark.parametrize("n", range(3, 33))
 def test_block_pipeline_matches_the_dense_oracle(n):
     result = run_cube_ifm(n)
     expected, dense_gap = dense_cube_ifm(n)
-    # json.dumps tells -0.0 from 0.0 and spells every float exactly
-    assert json.dumps(result.to_json_dict()) == json.dumps(expected.to_json_dict())
+    # json.dumps tells -0.0 from 0.0 and spells every float exactly; P_? is
+    # summed in another order, so it and P_v are held to the exact values
+    got, want = result.to_json_dict(), expected.to_json_dict()
+    for key in ("p_inconclusive", "p_success"):
+        del got[key], want[key]
+    assert json.dumps(got) == json.dumps(want)
+    assert_within_one_and_a_half_ulp(result)
     assert all(type(value) is float for value in astuple(result)[2:6])
     # the block gap is computed in another order, so it may differ at the
     # rounding level; it accepts what the dense gap accepted
     run_cube_ifm(n, tol=dense_gap + 1e-14)
+
+
+def test_cube_run_above_the_cli_cap_is_within_one_and_a_half_ulp():
+    # the dense oracle's d x d matrix is 4 GB at N = 128
+    for n in range(33, 129):
+        assert_within_one_and_a_half_ulp(run_cube_ifm(n))
 
 
 def test_cube_run_builds_no_cube(monkeypatch):
@@ -149,17 +173,17 @@ def test_cube_run_guards_apply_to_the_block_readout(monkeypatch):
     # infinite tolerance lets the run past the no-bomb gap)
     def blocks(population):
         def patched(n):
-            a, b = _blocks(n)
+            a, *rest = _slice_blocks(n)
             a = a.copy()
             a[0, 0] = population
-            return a, b
+            return a, *rest
 
         return patched
 
-    monkeypatch.setattr("cubesim.experiments._blocks", blocks(1.0))
+    monkeypatch.setattr("cubesim.experiments._slice_blocks", blocks(1.0))
     with pytest.raises(ValueError, match="certainly"):
         run_cube_ifm(3, tol=math.inf)
-    monkeypatch.setattr("cubesim.experiments._blocks", blocks(1.0 + 2 * DEFAULT_TOL))
+    monkeypatch.setattr("cubesim.experiments._slice_blocks", blocks(1.0 + 2 * DEFAULT_TOL))
     with pytest.raises(ValueError, match="outside"):
         run_cube_ifm(3, tol=math.inf)
 
@@ -329,17 +353,18 @@ def test_sorkin_rejects_two_path_coherence():
 
 
 def test_large_cube_run_stays_small_in_memory():
-    # the pipeline works on the N x N and (d - N) x N blocks, never on the
-    # d x d matrix (14.8 MB at N = 32) or on dense N^3 cubes
-    d = 32 + 31 * 30
-    tracemalloc.start()
-    try:
-        result = run_cube_ifm(32)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert result.p_inconclusive == pytest.approx(1.0 / 31.0, abs=1e-12)
-    assert peak < d * d * 16
+    # the pipeline works on A and the phase slice x, never on the d x d
+    # matrix (14.8 MB at N = 32, d = 962), on dense N^3 cubes or on one
+    # stacked R x N complex block B (32 MB at N = 128, R = 127 * 126)
+    for n, limit in [(32, 962**2 * 16), (128, 127 * 126 * 128 * 16)]:
+        tracemalloc.start()
+        try:
+            result = run_cube_ifm(n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.p_inconclusive == pytest.approx(1.0 / (n - 1), abs=1e-12)
+        assert peak < limit, n
 
 
 # --- quantum presets ------------------------------------------------------------------

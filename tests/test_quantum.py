@@ -390,11 +390,16 @@ def test_validated_spectrum_serves_every_later_step(rng, eigensolver_calls):
 
 def test_uncertified_not_found_state_is_validated_by_one_eigh(eigensolver_calls):
     # rho's residual 4e-11 exceeds 1/2 * 1e-10 * (1 - p) at p = 1/2, so the
-    # not-found state is validated as a DensityMatrix; its -8e-11 passes
+    # not-found state is validated as a DensityMatrix; its -8e-11 passes.
+    # luders_remove_path returns that validated state
     rho = DensityMatrix(3, np.diag([0.5, 0.5 + 4e-11, -4e-11]).astype(complex))
     del eigensolver_calls[:]
     quantum_ifm(rho, fourier_unitary(3), bomb_path=1)
     assert eigensolver_calls == ["eigh"]
+    del eigensolver_calls[:]
+    _, tilde = luders_remove_path(rho, 1)
+    assert eigensolver_calls == ["eigh"]
+    np.testing.assert_array_equal(tilde.entries, np.diag([0, 1 + 8e-11, -8e-11]))
 
 
 def test_certified_trial_on_an_exactly_hermitian_state_runs_no_eigensolver(
