@@ -8,6 +8,7 @@ from .cubes import (
     luders_update_cube,
     measure_path_prob,
     nonquantum_cube,
+    optimal_cubes,
     quantum_to_cube,
 )
 from .experiments import (
@@ -28,7 +29,6 @@ from .multiport import (
     assemble_multiport,
     build_phase_matrix,
     from_coords,
-    optimal_cubes,
     sub_basis,
     t3_matrix,
     to_coords,

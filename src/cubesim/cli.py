@@ -32,7 +32,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import experiments, multiport
-from .cubes import basis_cube, dephase, luders_update_cube, quantum_to_cube
+from .cubes import basis_cube, dephase, luders_update_cube, optimal_cubes, quantum_to_cube
 from .quantum import DensityMatrix, random_density_matrix
 from .results import results_to_csv
 from .tensor import DEFAULT_TOL, cube_inner
@@ -218,7 +218,7 @@ def reference_checks() -> list[Check]:
     add("3-path post-update cube: purity", updated.purity(), 0.5, 1e-12)
 
     # Tabulated four-path cubes against the general construction.
-    built = multiport.optimal_cubes(4)
+    built = optimal_cubes(4)
     tabulated = multiport.reference_optimal_cubes_n4()
     dev = max(
         float(np.abs(b.entries - t.entries).max()) for b, t in zip(built, tabulated)

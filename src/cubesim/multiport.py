@@ -23,9 +23,9 @@ residuals from A and x.
 
 On root-of-unity conventions: :func:`build_phase_matrix` uses
 ``exp(+i 2 pi / N)`` while the optimal cubes (and hence the assembled
-transformations) carry the conjugated phases.  The blocks A and B hold
-that family once; :func:`optimal_cubes` reads them, and the three-path
-phases of :func:`cubesim.cubes.nonquantum_cube` are read from x.  Both choices
+transformations) carry the conjugated phases.  The three-path phases of
+:func:`cubesim.cubes.nonquantum_cube`, and so of
+:func:`cubesim.cubes.optimal_cubes`, are read from x.  Both choices
 solve the same orthonormality equations; the conjugated one matches the
 tabulated four-path cube family entry for entry.
 """
@@ -252,31 +252,6 @@ def _slice_blocks(n_paths: int) -> tuple[np.ndarray, np.ndarray, int, np.ndarray
     return (np.ones((n, n)) - np.eye(n)) / (n - 1), x, copies, overlap
 
 
-def _blocks(n_paths: int) -> tuple[np.ndarray, np.ndarray]:
-    """A and the stacked coherence block B, for the readers whose bytes
-    depend on B's rows.  Column n of ``[A; B]`` holds the sub-basis
-    coordinates of optimal cube n: populations 1/(N-1) off path n, then the
-    conjugated rows of :func:`build_phase_matrix` and their conjugates, all
-    over N - 1.  Raises where :func:`_slice_blocks` does."""
-    a, x, copies, _ = _slice_blocks(n_paths)
-    phases = np.tile(np.conj(x), (copies, 1))
-    return a, np.vstack([phases, np.conj(phases)]) / (n_paths - 1)
-
-
-def optimal_cubes(n_paths: int) -> list[HermitianCube]:
-    """The N mutually orthogonal pure cubes targeted by the multiport.
-
-    Cube n has population 1/(N-1) in every path except path n, no two-path
-    coherence, and unimodular three-path phases taken from the conjugate
-    of :func:`build_phase_matrix` (see the module docstring on
-    conventions).  Each is a pure state cube and the family is
-    orthonormal.
-    """
-    basis = sub_basis(n_paths)
-    columns = np.vstack(_blocks(n_paths))
-    return [from_coords(column, basis, is_state=True) for column in columns.T]
-
-
 @dataclass(frozen=True, eq=False)
 class MultiportMatrix:
     """A d x d transformation in sub-basis coordinates, stored with its basis.
@@ -330,7 +305,7 @@ def assemble_multiport(n_paths: int) -> MultiportMatrix:
     are the three-path coordinates of the optimal cubes; the top-right
     block is their adjoint; and the closing block is the closed-form root
     ``sqrt(1 - B B+) = 1 - ((N-1)/N) B B+``.  The matrix is self-adjoint
-    by construction, and it is an involution because :func:`_blocks`
+    by construction, and it is an involution because :func:`_slice_blocks`
     checks ``B+B`` and ``B 1`` at ``MATRIX_TOL``; :func:`verify_multiport`
     measures the residuals of both identities.
 
@@ -344,7 +319,9 @@ def assemble_multiport(n_paths: int) -> MultiportMatrix:
     n, d = n_paths, basis.dim
 
     matrix = np.empty((d, d), dtype=complex)  # every cell is written below
-    a, b = _blocks(n_paths)
+    a, x, copies, _ = _slice_blocks(n)
+    phases = np.tile(np.conj(x), (copies, 1))
+    b = np.vstack([phases, np.conj(phases)]) / (n - 1)
     matrix[:n, :n] = a
     matrix[n:, :n] = b
     matrix[:n, n:] = b.conj().T
@@ -448,7 +425,7 @@ def verify_multiport(n_paths: int) -> MultiportReport:
 # Tabulated four-path reference data.  The optimal four-path cubes are kept
 # here as literal primary entries (diagonal populations plus the independent
 # three-path coherences); the full tensors follow by Hermitian completion.
-# They provide a construction-independent cross-check of optimal_cubes(4)
+# They provide a construction-independent cross-check of cubes.optimal_cubes(4)
 # and of the assembled transformation.
 
 _N4_UNIT = 1.0 / (3.0 * _SQRT3)

@@ -6,7 +6,7 @@ from itertools import permutations
 
 import numpy as np
 
-from cubesim.multiport import MultiportReport, _blocks, sub_basis
+from cubesim.multiport import MultiportReport
 from cubesim.tensor import hermitian_complete
 
 SQRT3 = math.sqrt(3.0)
@@ -91,9 +91,13 @@ def dense_report(t):
 
 def out_of_place_multiport(n):
     """The d x d multiport ``[[A, B+], [B, I - k B B+]]`` with k = (N-1)/N,
-    each block written into a fresh zero matrix."""
-    a, b = _blocks(n)
-    d = sub_basis(n).dim
+    ``d = N + (N-1)(N-2)``, ``A = (ones - id) / (N-1)`` and ``B = [conj(P);
+    P] / (N-1)`` for the stacked phase matrix P, each block written into a
+    fresh zero matrix."""
+    phases = stacked_phase_matrix(n)
+    a = (np.ones((n, n)) - np.eye(n)) / (n - 1)
+    b = np.vstack([np.conj(phases), phases]) / (n - 1)
+    d = n + (n - 1) * (n - 2)
     expected = np.zeros((d, d), dtype=complex)
     expected[:n, :n] = a
     expected[n:, :n] = b

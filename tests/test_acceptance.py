@@ -8,7 +8,7 @@ failing criterion shows up as an ordinary pytest failure).
 import numpy as np
 import pytest
 
-from cubesim.cubes import basis_cube, luders_update_cube, quantum_to_cube
+from cubesim.cubes import basis_cube, luders_update_cube, optimal_cubes, quantum_to_cube
 from cubesim.experiments import (
     cube_tradeoff_bound,
     region_scan,
@@ -19,7 +19,6 @@ from cubesim.experiments import (
 from cubesim.multiport import (
     apply_transform,
     assemble_multiport,
-    optimal_cubes,
     t3_matrix,
 )
 from cubesim.quantum import (

@@ -7,21 +7,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubesim.cubes import basis_cube, nonquantum_cube
+from cubesim.cubes import basis_cube, nonquantum_cube, optimal_cubes
 from cubesim.experiments import run_cube_ifm
 from cubesim.multiport import (
     MATRIX_TOL,
     MultiportMatrix,
     MultiportReport,
-    _blocks,
     _matmul,
     _phase_slice,
+    _slice_blocks,
     apply_transform,
     assemble_multiport,
     build_phase_matrix,
     coherence_pairs,
     from_coords,
-    optimal_cubes,
     reference_optimal_cubes_n4,
     sub_basis,
     t3_matrix,
@@ -758,7 +757,7 @@ def test_alternative_closing_blocks_break_the_multiport_contract(variant):
 
 @pytest.mark.parametrize("n", range(3, 33))
 def test_closed_form_identities_behind_the_construction_check(n):
-    a, _ = _blocks(n)
+    a = _slice_blocks(n)[0]
     eye, ones, k = np.eye(n), np.ones((n, n)), (n - 1) / n
     g0 = (n - 2) / (n - 1) ** 2 * (n * eye - ones)
     np.testing.assert_allclose(a @ a + g0, eye, rtol=0, atol=1e-13)

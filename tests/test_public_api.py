@@ -48,6 +48,12 @@ def test_basis_cubes_left_the_package():
     assert not hasattr(cubesim.cubes, "basis_cubes")
 
 
+def test_optimal_cubes_have_one_constructor():
+    assert cubesim.optimal_cubes is cubesim.cubes.optimal_cubes
+    for name in ("optimal_cubes", "_blocks"):
+        assert not hasattr(cubesim.multiport, name)
+
+
 def test_phase_table_is_a_plain_array():
     for name in ("PhaseMatrix", "alternative_d_blocks_n4", "alternative_multiport_n4"):
         assert not hasattr(cubesim, name) and name not in cubesim.__all__

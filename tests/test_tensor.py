@@ -327,6 +327,8 @@ PATH_COUNT_SITES = {
     "build_phase_matrix": (lambda: multiport.build_phase_matrix(2), 3, 2),
     "sub_basis": (lambda: multiport.sub_basis(2), 3, 2),
     "nonquantum_cube": (lambda: cubes.nonquantum_cube(DensityMatrix.maximally_mixed(2), 1), 3, 2),
+    "optimal_cubes(0)": (lambda: cubes.optimal_cubes(0), 3, 0),
+    "optimal_cubes(1)": (lambda: cubes.optimal_cubes(1), 3, 1),
 }
 
 
