@@ -27,7 +27,6 @@ from .multiport import (
     SubBasis,
     apply_transform,
     assemble_multiport,
-    build_phase_matrix,
     from_coords,
     sub_basis,
     t3_matrix,
@@ -69,7 +68,6 @@ __all__ = [
     "apply_transform",
     "assemble_multiport",
     "basis_cube",
-    "build_phase_matrix",
     "cube_inner",
     "cube_tradeoff_bound",
     "dephase",

@@ -92,7 +92,8 @@ def optimal_cubes(n_paths: int) -> list[HermitianCube]:
     """The N orthonormal pure cubes targeted by the multiport: cube n is
     ``nonquantum_cube(path_state(N, n), n)``, with population 1/(N-1) off
     path n, no two-path coherence and the three-path phases of column n of
-    the conjugate of :func:`cubesim.multiport.build_phase_matrix`."""
+    ``conj(x)``, the conjugate of the phase slice of
+    :func:`cubesim.multiport._slice_blocks`."""
     _check_paths(n_paths, 3)
     paths = range(1, n_paths + 1)
     return [nonquantum_cube(DensityMatrix.path_state(n_paths, n), n) for n in paths]

@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from .cubes import _probability
-from .multiport import _SQRT3, MultiportMatrix, _matvec, _slice_blocks, to_coords
+from .multiport import _SQRT3, MultiportMatrix, _involution_columns, _slice_blocks, to_coords
 from .quantum import UnitaryMatrix, fourier_unitary, inject_first_path, quantum_ifm
 from .results import IFMResult, _csv
 from .tensor import DEFAULT_TOL, HermitianCube, _check_index, _check_paths, _not_found
@@ -37,27 +37,21 @@ def run_cube_ifm(n_paths: int, tol: float = DEFAULT_TOL) -> IFMResult:
     asserted at runtime by checking that the no-bomb output cube is the
     path-1 cube to within ``tol``, the only comparison ``tol`` sets.
 
-    Every step reads A and the slice x of :func:`_slice_blocks`, in O(N^2)
+    Every step reads the outputs of :func:`_slice_blocks`, in O(N^2)
     memory with no BLAS call; no stacked B, no d x d matrix and no cube is
     built.  Path cube 1 has coordinates e_1, so the inside cube is column
     1, ``(a_1, B e_1)``, of ``[A; B]`` and the no-bomb gap is the largest
-    entry of column 1 of ``M M - id``, a coherence coordinate counting
-    sqrt(3) times its cube entries.  With ``G = B+B = s Re(x+x)``, ``s = 2
-    copies / (N-1)^2`` and ``k = (N-1)/N`` (the names of
-    :func:`verify_multiport`), its populations are ``A a_1 + G e_1 - e_1``
-    and its coherences ``B (a_1 + e_1 - k G e_1)``, whose rows are those of
-    ``x (...) / (N-1)`` and their conjugates.  Every coherence cube of the
-    sub-basis involves path 1, so the not-found update keeps populations
-    2..N and renormalizes them, and P_? is A's row 1 times them, summed by
+    entry of column 1 of ``M M - id``, read from
+    :func:`_involution_columns`; a coherence coordinate counts sqrt(3)
+    times its cube entries.  Every coherence cube of the sub-basis
+    involves path 1, so the not-found update keeps populations 2..N and
+    renormalizes them, and P_? is A's row 1 times them, summed by
     ``math.fsum`` with one rounding.
     """
     n = n_paths
-    a, x, copies, overlap = _slice_blocks(n)
-    e1, k, s = np.eye(n)[0], (n - 1) / n, 2 * copies / (n - 1) ** 2
-    g1 = s * overlap[:, 0]  # G e_1
-    populations = _matvec(a, a[:, 0]) + g1 - e1
-    coherences = _matvec(x, a[:, 0] + e1 - k * g1) / (n - 1)
-    gap = float(max(np.abs(populations).max(), np.abs(coherences).max() / _SQRT3))
+    a, x, _, gram = _slice_blocks(n)
+    populations, coherences = _involution_columns(a, x, gram, [0])
+    gap = float(max(np.abs(populations).max(), np.abs(coherences / (n - 1)).max() / _SQRT3))
     if not gap <= tol:
         raise ValueError(
             f"no-bomb output deviates from the injected path cube by {gap:.3e}; "

@@ -21,9 +21,10 @@ two N x N identities on the slice: ``(N-1)^2 B+B = 2 copies Re(x+x) =
 (see :func:`_slice_blocks`); :func:`verify_multiport` measures the
 residuals from A and x.
 
-On root-of-unity conventions: :func:`build_phase_matrix` uses
+On root-of-unity conventions: the rows of the slice x use
 ``exp(+i 2 pi / N)`` while the optimal cubes (and hence the assembled
-transformations) carry the conjugated phases.  The three-path phases of
+transformations) carry the conjugated phases, as B stacks copies of
+``conj(x)``.  The three-path phases of
 :func:`cubesim.cubes.nonquantum_cube`, and so of
 :func:`cubesim.cubes.optimal_cubes`, are read from x.  Both choices
 solve the same orthonormality equations; the conjugated one matches the
@@ -69,19 +70,6 @@ def _phase_slice(n_paths: int) -> tuple[np.ndarray, int]:
         rows, copies = np.arange(1, (n_paths - 1) // 2 + 1), n_paths - 2
     angles = 2.0 * np.pi * np.outer(rows, np.arange(n_paths)) / n_paths
     return np.exp(1j * angles), copies
-
-
-def build_phase_matrix(n_paths: int) -> np.ndarray:
-    """Stacked Fourier phase matrix with ``w = exp(+i 2 pi / N)``.
-
-    Column n holds the unimodular three-path phases of cube n, one row per
-    coherence pair in lexicographic order, so the shape is
-    ((N-1)(N-2)/2, N), the copies of :func:`_phase_slice`.  Distinct
-    columns obey the fixed-overlap condition ``2 Re(x_m . x_n) = 2 - N``
-    that encodes orthogonality of the cubes; :func:`_slice_blocks` checks it.
-    """
-    x, copies = _phase_slice(n_paths)
-    return np.tile(x, (copies, 1))
 
 
 @functools.cache
@@ -225,9 +213,9 @@ def _matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def _slice_blocks(n_paths: int) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
     """Population block ``A = (ones - id) / (N - 1)``, phase slice x, copy
-    count and the real Gram ``Re(x+x)``.  B stacks the copies of
-    ``conj(x) / (N - 1)`` over their conjugates, so ``(N-1)^2 B+B =
-    2 copies Re(x+x)``, and ``B 1 = 0`` iff ``x 1 = 0``.
+    count and the Gram ``G = B+B``.  B stacks the copies of ``conj(x) /
+    (N - 1)`` over their conjugates, so ``G = s Re(x+x)`` with ``s = 2
+    copies / (N-1)^2``, and ``B 1 = 0`` iff ``x 1 = 0``.
 
     Raises unless ``2 copies Re(x+x) = (N-2)(N id - ones)`` and ``x 1 = 0``
     hold entrywise within ``MATRIX_TOL``, checked in O(N^3) with no BLAS.
@@ -241,20 +229,34 @@ def _slice_blocks(n_paths: int) -> tuple[np.ndarray, np.ndarray, int, np.ndarray
     x, copies = _phase_slice(n)
     target = (n - 2) * (n * np.eye(n) - np.ones((n, n)))
     overlap = _matmul(x.conj().T, x).real
-    gram = np.abs(2 * copies * overlap - target).max()
+    residual = np.abs(2 * copies * overlap - target).max()
     kernel = np.abs(x.sum(axis=1)).max()
     # written as ``not (residual <= MATRIX_TOL)`` so that a NaN fails
-    if not (gram <= MATRIX_TOL and kernel <= MATRIX_TOL):
+    if not (residual <= MATRIX_TOL and kernel <= MATRIX_TOL):
         raise ValueError(
             f"coherence block for N={n} breaks B+B = G0 or B 1 = 0 "
-            f"(Gram residual {gram:.3e}, row-sum residual {kernel:.3e})"
+            f"(Gram residual {residual:.3e}, row-sum residual {kernel:.3e})"
         )
-    return (np.ones((n, n)) - np.eye(n)) / (n - 1), x, copies, overlap
+    gram = 2 * copies / (n - 1) ** 2 * overlap
+    return (np.ones((n, n)) - np.eye(n)) / (n - 1), x, copies, gram
+
+
+def _involution_columns(
+    a: np.ndarray, x: np.ndarray, gram: np.ndarray, columns: slice | list[int] = slice(None)
+) -> tuple[np.ndarray, np.ndarray]:
+    """Columns of ``A A + G - id`` and ``x (A + id - k G)``, ``k = (N-1)/N``,
+    from the outputs of :func:`_slice_blocks`, with no BLAS call: the
+    population block of ``M M - id`` and its coherence block ``B (A + id -
+    k G)``, whose rows are the second's over N - 1 and their conjugates."""
+    n = len(a)
+    k, eye = (n - 1) / n, np.eye(n)[:, columns]
+    a_cols, g_cols = a[:, columns], gram[:, columns]
+    return _matmul(a, a_cols) + g_cols - eye, _matmul(x, a_cols + eye - k * g_cols)
 
 
 @dataclass(frozen=True, eq=False)
 class MultiportMatrix:
-    """A d x d transformation in sub-basis coordinates, stored with its basis.
+    """A d x d transformation in sub-basis coordinates; N fixes the basis.
 
     Block layout (in the fixed basis ordering): the N x N block A maps
     populations to populations, B maps populations to coherences, the
@@ -263,16 +265,18 @@ class MultiportMatrix:
 
     n_paths: int
     matrix: np.ndarray
-    basis: SubBasis
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.matrix, dtype=complex)
         d = self.basis.dim
-        if self.n_paths != self.basis.n_paths:
-            raise ValueError("matrix and basis disagree on the path count")
         if arr.shape != (d, d):
             raise ValueError(f"expected a {d} x {d} matrix, got shape {arr.shape}")
         _freeze(self, "matrix", arr)
+
+    @functools.cached_property
+    def basis(self) -> SubBasis:
+        """The sub-basis of the N-path multiport subspace, built once."""
+        return sub_basis(self.n_paths)
 
 
 def t3_matrix() -> MultiportMatrix:
@@ -295,7 +299,7 @@ def t3_matrix() -> MultiportMatrix:
         ],
         dtype=complex,
     )
-    return MultiportMatrix(3, matrix, sub_basis(3))
+    return MultiportMatrix(3, matrix)
 
 
 def assemble_multiport(n_paths: int) -> MultiportMatrix:
@@ -315,13 +319,13 @@ def assemble_multiport(n_paths: int) -> MultiportMatrix:
     ``0 - y`` is ``+0.0`` for ``y = -0.0``, as subtracting from the zeros of
     ``id`` gives, so ``dump-matrix`` prints the same sign on every zero.
     """
-    basis = sub_basis(n_paths)
-    n, d = n_paths, basis.dim
-
-    matrix = np.empty((d, d), dtype=complex)  # every cell is written below
+    n = n_paths
     a, x, copies, _ = _slice_blocks(n)
     phases = np.tile(np.conj(x), (copies, 1))
     b = np.vstack([phases, np.conj(phases)]) / (n - 1)
+    d = n + len(b)
+
+    matrix = np.empty((d, d), dtype=complex)  # every cell is written below
     matrix[:n, :n] = a
     matrix[n:, :n] = b
     matrix[:n, n:] = b.conj().T
@@ -332,7 +336,7 @@ def assemble_multiport(n_paths: int) -> MultiportMatrix:
     diagonal = np.arange(d - n)
     closing[diagonal, diagonal] += 1
     matrix.setflags(write=False)  # so that MultiportMatrix adopts it uncopied
-    return MultiportMatrix(n_paths, matrix, basis)
+    return MultiportMatrix(n_paths, matrix)
 
 
 def apply_transform(t: MultiportMatrix, cube: HermitianCube) -> HermitianCube:
@@ -383,30 +387,30 @@ def verify_multiport(n_paths: int) -> MultiportReport:
     involution and self-adjointness residuals (Frobenius norm), the
     Hermiticity pairing, the population sum, and the two block spectra.
 
-    Every residual is read from A, the phase slice x and its real Gram of
+    Every residual is read from A, the phase slice x and the Gram
+    ``G = B+B = s Re(x+x)``, ``s = 2 copies / (N-1)^2``, of
     :func:`_slice_blocks` (which may raise), with no d x d matrix, no
     stacked B and no BLAS product; the one LAPACK call is ``eigvalsh`` of
-    ``G = B+B = s Re(x+x)``, ``s = 2 copies / (N-1)^2``, so the bits do not
-    depend on the BLAS thread count.  With ``k = (N-1)/N`` the multiport
-    ``[[A, B+], [B, id - k B B+]]`` is self-adjoint iff A is.  The blocks of
-    ``M M - id`` are ``A A + G - id``, ``B (A + id - k G)`` and its adjoint,
-    and ``W B+`` with ``W = B ((1 - 2k) id + k^2 G)``, of squared norm
-    ``tr(W+ W G)``; W and ``B (A + id - k G)`` are rounding-sized, so
-    nothing cancels.  For real Y, ``|B Y|^2 = s |x Y|^2`` and
-    ``(B Y)+ (B Y) = s Re((x Y)+ (x Y))``.  M keeps the Hermiticity pairing
-    iff A is real and B's conjugate rows are conjugate, as built, and then
-    keeps the population sum iff A's column sums are 1 and B's row sums,
-    those of ``x / (N-1)`` up to conjugation, 0.  The closing block's
-    eigenvalues are 1 and ``1 - k lambda`` over G's eigenvalues lambda.
+    G, so the bits do not depend on the BLAS thread count.  With ``k =
+    (N-1)/N`` the multiport ``[[A, B+], [B, id - k B B+]]`` is self-adjoint
+    iff A is.  The blocks of ``M M - id`` are the two of
+    :func:`_involution_columns`, the adjoint of the second, and ``W B+``
+    with ``W = B ((1 - 2k) id + k^2 G)``, of squared norm ``tr(W+ W G)``;
+    all are rounding-sized, so nothing cancels.  For real Y, ``|B Y|^2 =
+    s |x Y|^2`` and ``(B Y)+ (B Y) = s Re((x Y)+ (x Y))``.  M keeps the
+    Hermiticity pairing iff A is real and B's conjugate rows are conjugate,
+    as built, and then keeps the population sum iff A's column sums are 1
+    and B's row sums, those of ``x / (N-1)`` up to conjugation, 0.  The
+    closing block's eigenvalues are 1 and ``1 - k lambda`` over G's
+    eigenvalues lambda.
     """
     n = n_paths
-    a, x, copies, overlap = _slice_blocks(n)
+    a, x, copies, gram = _slice_blocks(n)
     eye, k, s = np.eye(n), (n - 1) / n, 2 * copies / (n - 1) ** 2
-    gram = s * overlap
-    cross = _matmul(x, a + eye - k * gram)
+    populations, cross = _involution_columns(a, x, gram)
     w = _matmul(x, (1 - 2 * k) * eye + k**2 * gram)
     closing = s * float((_matmul(w.conj().T, w).real * gram.T).sum())
-    involution = _squared_norm(_matmul(a, a) + gram - eye) + 2 * s * _squared_norm(cross) + closing
+    involution = _squared_norm(populations) + 2 * s * _squared_norm(cross) + closing
 
     drift = max(np.abs(a.sum(axis=0) - 1).max(), np.abs((x / (n - 1)).sum(axis=1)).max())
     eigs = np.linalg.eigvalsh(gram)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from cubesim import cli, experiments
 from cubesim.cli import _multiport_json, main, reference_checks
-from cubesim.multiport import MultiportMatrix, assemble_multiport, sub_basis
+from cubesim.multiport import MultiportMatrix, assemble_multiport
 
 
 def run_cli(capsys, *argv):
@@ -293,7 +293,7 @@ def test_multiport_json_keeps_every_float_spelling():
     # -0.0 and 0.0 are equal as values but not as bit patterns
     values = [0.0, -0.0, 1.0, 5e-324, 1 / 3, -1 / 3, -5e-324, 1e300]
     matrix = np.resize(values, 50).view(complex).reshape(5, 5)
-    t = MultiportMatrix(3, matrix, sub_basis(3))
+    t = MultiportMatrix(3, matrix)
     expected = json.dumps(multiport_json_dict(t), sort_keys=True, indent=2)
     assert "".join(_multiport_json(t)) == expected
     assert "-0.0" in expected and "5e-324" in expected
@@ -308,7 +308,7 @@ FLOAT_POOL = [0.0, -0.0, 5e-324, -5e-324, 1 / 3, -1 / 3, 1.0, 1e300]
 @given(st.lists(st.sampled_from(FLOAT_POOL), min_size=50, max_size=50))
 def test_multiport_json_matches_json_dumps_for_colliding_pairs(floats):
     matrix = np.array(floats).view(complex).reshape(5, 5)
-    t = MultiportMatrix(3, matrix, sub_basis(3))
+    t = MultiportMatrix(3, matrix)
     expected = json.dumps(multiport_json_dict(t), sort_keys=True, indent=2)
     assert "".join(_multiport_json(t)) == expected
 
@@ -350,7 +350,7 @@ def spliced_edges():
 @given(grouped_matrices())
 @example(spliced_edges())
 def test_multiport_json_matches_json_dumps_for_spliced_rows(matrix):
-    t = MultiportMatrix(4, matrix, sub_basis(4))
+    t = MultiportMatrix(4, matrix)
     expected = json.dumps(multiport_json_dict(t), sort_keys=True, indent=2)
     assert "".join(_multiport_json(t)) == expected
 
@@ -360,7 +360,7 @@ def test_dump_matrix_rejects_non_finite_entries(capsys, tmp_path, monkeypatch):
     matrix[1, 2] = np.nan
     monkeypatch.setattr(
         "cubesim.multiport.assemble_multiport",
-        lambda n: MultiportMatrix(3, matrix, sub_basis(3)),
+        lambda n: MultiportMatrix(3, matrix),
     )
     target = tmp_path / "matrix.json"
     code, out, err = run_cli(capsys, "dump-matrix", "--n", "3", "--out", str(target))

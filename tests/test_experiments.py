@@ -28,6 +28,7 @@ from cubesim.experiments import (
 )
 from cubesim.multiport import (
     MultiportMatrix,
+    _matvec,
     _slice_blocks,
     apply_transform,
     assemble_multiport,
@@ -150,6 +151,27 @@ def test_block_pipeline_matches_the_dense_oracle(n):
     # the block gap is computed in another order, so it may differ at the
     # rounding level; it accepts what the dense gap accepted
     run_cube_ifm(n, tol=dense_gap + 1e-14)
+
+
+def column_one_gap(n):
+    """The no-bomb gap, column 1 of M M - id, written out from the outputs
+    of ``_slice_blocks``: populations ``A a_1 + G e_1 - e_1``, coherences
+    ``x (a_1 + e_1 - k G e_1) / (N-1)`` over sqrt(3), ``k = (N-1)/N``."""
+    a, x, _, gram = _slice_blocks(n)
+    e1, k, g1 = np.eye(n)[0], (n - 1) / n, gram[:, 0]
+    populations = _matvec(a, a[:, 0]) + g1 - e1
+    coherences = _matvec(x, a[:, 0] + e1 - k * g1) / (n - 1)
+    return float(max(np.abs(populations).max(), np.abs(coherences).max() / np.sqrt(3.0)))
+
+
+@pytest.mark.parametrize("n", [*range(3, 33), 64, 128])
+def test_tol_accepts_the_exact_no_bomb_gap_and_nothing_below(n):
+    # which --tol values exit 1 depends on every rounding of the gap
+    gap = column_one_gap(n)
+    assert 0.0 < gap < 1e-14
+    run_cube_ifm(n, tol=gap)
+    with pytest.raises(ValueError, match="no-bomb output deviates"):
+        run_cube_ifm(n, tol=np.nextafter(gap, 0.0))
 
 
 def test_cube_run_above_the_cli_cap_is_within_one_and_a_half_ulp():
@@ -305,7 +327,7 @@ def test_sorkin_term_matches_oracle_for_any_matrix_and_cube(entries, populations
     m = np.array(entries).reshape(5, 5)
     v = np.array([*populations, coherence, np.conj(coherence)])
     cube = from_coords(v, basis)
-    transform = MultiportMatrix(3, m, basis)
+    transform = MultiportMatrix(3, m)
     slack = 1e-12 * (1.0 + np.linalg.norm(m) * np.linalg.norm(v))
     assert abs(sorkin_term(cube, transform, port) - sorkin_oracle(cube, transform, port)) <= slack
 

@@ -1,6 +1,6 @@
 import math
 import tracemalloc
-from dataclasses import astuple, replace
+from dataclasses import astuple, fields, replace
 
 import numpy as np
 import pytest
@@ -18,7 +18,6 @@ from cubesim.multiport import (
     _slice_blocks,
     apply_transform,
     assemble_multiport,
-    build_phase_matrix,
     coherence_pairs,
     from_coords,
     reference_optimal_cubes_n4,
@@ -370,8 +369,9 @@ def test_t3_image_of_post_measurement_cube():
 
 def test_phase_matrix_three_paths():
     w = np.exp(2j * np.pi / 3)
-    x = build_phase_matrix(3)
+    x, copies = _phase_slice(3)
     np.testing.assert_allclose(x, [[1, w, w**2]], atol=1e-15)
+    assert copies == 1
     overlap = 2 * np.real(np.vdot(x[:, 0], x[:, 1]))
     assert overlap == pytest.approx(-1.0, abs=1e-12)
 
@@ -379,13 +379,15 @@ def test_phase_matrix_three_paths():
 def test_phase_matrix_four_paths_is_deleted_row_fourier():
     w = np.exp(2j * np.pi / 4)
     expected = np.array([[w ** (q * c) for c in range(4)] for q in (1, 2, 3)])
-    np.testing.assert_allclose(build_phase_matrix(4), expected, atol=1e-12)
+    x, copies = _phase_slice(4)
+    np.testing.assert_allclose(x, expected, atol=1e-12)
+    assert copies == 1
 
 
 def test_phase_matrix_five_paths_shape_and_overlaps():
-    x = build_phase_matrix(5)
-    assert x.shape == (6, 5)
-    gram = 2.0 * np.real(x.conj().T @ x)
+    x, copies = _phase_slice(5)
+    assert (len(x) * copies, x.shape[1]) == (6, 5)
+    gram = 2.0 * copies * np.real(x.conj().T @ x)
     for m in range(5):
         for n in range(5):
             if m != n:
@@ -394,22 +396,23 @@ def test_phase_matrix_five_paths_shape_and_overlaps():
 
 @pytest.mark.parametrize("n", range(3, 13))
 def test_phase_matrix_invariants(n):
-    x = build_phase_matrix(n)
-    assert x.shape == ((n - 1) * (n - 2) // 2, n)
+    x, copies = _phase_slice(n)
+    assert (len(x) * copies, x.shape[1]) == ((n - 1) * (n - 2) // 2, n)
     np.testing.assert_allclose(np.abs(x), 1.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("n", range(3, 33))
 def test_phase_matrix_is_bit_identical_to_the_stacked_formula(n):
-    # the tiled slice keeps every bit of the stacked table, and with it
-    # the dump-matrix bytes
+    # the slice tiled by its copies keeps every bit of the stacked table,
+    # the B that assemble_multiport tiles and dump-matrix writes
+    x, copies = _phase_slice(n)
     expected = stacked_phase_matrix(n)
-    assert np.array_equal(build_phase_matrix(n).view(np.int64), expected.view(np.int64))
+    assert np.array_equal(np.tile(x, (copies, 1)).view(np.int64), expected.view(np.int64))
 
 
 def test_phase_matrix_needs_three_paths():
     with pytest.raises(ValueError, match="at least 3"):
-        build_phase_matrix(2)
+        _phase_slice(2)
 
 
 # --- optimal cubes ---------------------------------------------------------------------
@@ -463,7 +466,7 @@ def test_sqrt_diagonal():
 def test_sqrt_of_three_path_coherence_complement():
     # with X = (1, w, w^2) the coherence Gram block is (3/4) id, so the
     # closing block must be id/2
-    x = build_phase_matrix(3)
+    x, _ = _phase_slice(3)
     b = np.vstack([np.conj(x), x]) / 2.0
     d = hermitian_sqrt(np.eye(2) - b @ b.conj().T)
     np.testing.assert_allclose(d, np.eye(2) / 2.0, atol=1e-12)
@@ -533,17 +536,16 @@ def test_assembly_holds_the_matrix_once():
 
 
 def test_writable_matrix_is_copied_and_read_only_owner_adopted():
-    basis = sub_basis(3)
     matrix = np.array(t3_matrix().matrix)
-    t = MultiportMatrix(3, matrix, basis)
+    t = MultiportMatrix(3, matrix)
     assert not np.shares_memory(t.matrix, matrix) and not t.matrix.flags.writeable
     matrix[0, 0] = 7.0
     assert t.matrix[0, 0] == 0.0
     view = matrix[:, :]
     view.setflags(write=False)
-    assert not np.shares_memory(MultiportMatrix(3, view, basis).matrix, matrix)
+    assert not np.shares_memory(MultiportMatrix(3, view).matrix, matrix)
     matrix.setflags(write=False)
-    assert MultiportMatrix(3, matrix, basis).matrix is matrix
+    assert MultiportMatrix(3, matrix).matrix is matrix
 
 
 @pytest.mark.parametrize("n", range(3, 13))
@@ -802,4 +804,18 @@ def test_construction_check_rejects_a_corrupted_phase_table(corruption, reader, 
 
 def test_multiport_shape_validation():
     with pytest.raises(ValueError, match="5 x 5"):
-        MultiportMatrix(3, np.eye(4, dtype=complex), sub_basis(3))
+        MultiportMatrix(3, np.eye(4, dtype=complex))
+
+
+def test_multiport_derives_its_basis_once(monkeypatch):
+    # the path count fixes the basis, so it is no field; each matrix
+    # builds it once, and assembly builds no other
+    assert [field.name for field in fields(MultiportMatrix)] == ["n_paths", "matrix"]
+    built = []
+    monkeypatch.setattr(
+        "cubesim.multiport.sub_basis", lambda n: built.append(n) or sub_basis(n)
+    )
+    for make, n in ((lambda: assemble_multiport(5), 5), (t3_matrix, 3)):
+        t = make()
+        assert t.basis is t.basis and t.basis.n_paths == n
+    assert built == [5, 3]

@@ -52,16 +52,20 @@ def test_optimal_cubes_have_one_constructor():
     assert cubesim.optimal_cubes is cubesim.cubes.optimal_cubes
     for name in ("optimal_cubes", "_blocks"):
         assert not hasattr(cubesim.multiport, name)
+    # the block algebra of M M - id has one owner, the multiport module
+    for name in ("_matvec", "_matmul"):
+        assert not hasattr(cubesim.experiments, name)
 
 
 def test_phase_table_is_a_plain_array():
-    for name in ("PhaseMatrix", "alternative_d_blocks_n4", "alternative_multiport_n4"):
+    removed = ("PhaseMatrix", "alternative_d_blocks_n4", "alternative_multiport_n4", "build_phase_matrix")
+    for name in removed:
         assert not hasattr(cubesim, name) and name not in cubesim.__all__
         assert not hasattr(cubesim.multiport, name)
     for n in (3, 4, 7):
-        table = cubesim.build_phase_matrix(n)
-        assert isinstance(table, np.ndarray)
-        assert table.shape == ((n - 1) * (n - 2) // 2, n)
+        x, copies = cubesim.multiport._phase_slice(n)
+        assert isinstance(x, np.ndarray)
+        assert (len(x) * copies, x.shape[1]) == ((n - 1) * (n - 2) // 2, n)
 
 
 def test_fixed_guards_take_no_tolerance():

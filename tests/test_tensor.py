@@ -324,7 +324,7 @@ PATH_COUNT_SITES = {
     "fourier_unitary": (lambda: fourier_unitary(1), 2, 1),
     "DensityMatrix": (lambda: DensityMatrix(1, [[1.0]]), 2, 1),
     "UnitaryMatrix": (lambda: UnitaryMatrix(1, [[1.0]]), 2, 1),
-    "build_phase_matrix": (lambda: multiport.build_phase_matrix(2), 3, 2),
+    "_phase_slice": (lambda: multiport._phase_slice(2), 3, 2),
     "sub_basis": (lambda: multiport.sub_basis(2), 3, 2),
     "nonquantum_cube": (lambda: cubes.nonquantum_cube(DensityMatrix.maximally_mixed(2), 1), 3, 2),
     "optimal_cubes(0)": (lambda: cubes.optimal_cubes(0), 3, 0),
