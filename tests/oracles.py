@@ -2,6 +2,7 @@
 the implementation."""
 
 import math
+from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np
@@ -42,6 +43,15 @@ def interferometer_cube():
 # The d x d residual report of an explicit multiport matrix, the oracle for
 # the block forms of cubesim.multiport.verify_multiport.
 
+@dataclass(frozen=True)
+class DenseReport(MultiportReport):
+    """The residuals of :class:`MultiportReport` plus the two that the block
+    form holds by construction; ``worst`` and ``passes`` read all six."""
+
+    adjoint_residual: float
+    pairing_violation: float
+
+
 def spectrum_deviation(block, admissible):
     """Largest distance from an eigenvalue of the Hermitian ``block`` to the
     nearer of the two ``admissible`` values; NaN, with no eigensolver call,
@@ -78,14 +88,14 @@ def dense_report(t):
     gram = m[n:, :n].conj().T @ m[n:, :n]
     bb_dev = spectrum_deviation(gram, (0.0, n * (n - 2) / (n - 1) ** 2))
 
-    return MultiportReport(
+    return DenseReport(
         n_paths=n,
-        adjoint_residual=adjoint,
         involution_residual=involution,
-        pairing_violation=float(pairing),
         diagonal_sum_drift=float(drift),
         d_spectrum_deviation=d_dev,
         bb_spectrum_deviation=bb_dev,
+        adjoint_residual=adjoint,
+        pairing_violation=float(pairing),
     )
 
 

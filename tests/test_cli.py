@@ -178,6 +178,48 @@ def test_verify_json(capsys):
     assert all(row["involution_residual"] < 1e-9 for row in rows)
 
 
+VERIFY_PRETTY = """\
+N= 3  involution=6.167e-16  diag-drift=2.001e-16  D-spectrum=2.220e-16  BB-spectrum=3.331e-16  [pass]
+N= 4  involution=4.575e-16  diag-drift=1.570e-16  D-spectrum=1.110e-16  BB-spectrum=2.220e-16  [pass]
+N= 5  involution=6.639e-16  diag-drift=8.777e-17  D-spectrum=2.220e-16  BB-spectrum=3.331e-16  [pass]
+"""
+
+VERIFY_JSON = """[
+  {
+    "bb_spectrum_deviation": 3.3306690738754696e-16,
+    "d_spectrum_deviation": 2.220446049250313e-16,
+    "diagonal_sum_drift": 2.0014830212433607e-16,
+    "involution_residual": 6.166643069930834e-16,
+    "n_paths": 3,
+    "passed": true
+  },
+  {
+    "bb_spectrum_deviation": 2.220446049250313e-16,
+    "d_spectrum_deviation": 1.1102230246251565e-16,
+    "diagonal_sum_drift": 1.5700924586837752e-16,
+    "involution_residual": 4.575425371272631e-16,
+    "n_paths": 4,
+    "passed": true
+  },
+  {
+    "bb_spectrum_deviation": 3.3306690738754696e-16,
+    "d_spectrum_deviation": 2.220446049250313e-16,
+    "diagonal_sum_drift": 8.777083671441753e-17,
+    "involution_residual": 6.639284431349144e-16,
+    "n_paths": 5,
+    "passed": true
+  }
+]
+"""
+
+
+@pytest.mark.parametrize(
+    "fmt, expected", [("pretty", VERIFY_PRETTY), ("json", VERIFY_JSON)], ids=["pretty", "json"]
+)
+def test_verify_bytes_are_pinned(capsys, fmt, expected):
+    assert run_cli(capsys, "verify", "--n", "3..5", "--format", fmt) == (0, expected, "")
+
+
 # --matrix-tol is only the report's pass threshold: the assembly check is
 # fixed, so a threshold below the residuals prints every row as failed
 def test_verify_below_the_residuals_reports_failures(capsys):
@@ -410,6 +452,20 @@ def test_out_into_missing_directory_is_a_clean_error(capsys, tmp_path):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "message, shown",
+    [((), "out of memory"), (("Unable to allocate 7.28 TiB",), "Unable to allocate 7.28 TiB")],
+    ids=["bare", "numpy"],
+)
+def test_out_of_memory_is_a_clean_error(capsys, monkeypatch, message, shown):
+    def exhausted(*args, **kwargs):
+        raise MemoryError(*message)
+
+    monkeypatch.setattr(experiments, "region_scan", exhausted)
+    code, out, err = run_cli(capsys, "scan", "--n", "2", "--grid", "1000000000000")
+    assert (code, out, err) == (1, "", f"error: {shown}\n")
 
 
 # --- reproduce -------------------------------------------------------------------

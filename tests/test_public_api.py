@@ -2,6 +2,7 @@
 
 import argparse
 import ast
+import dataclasses
 import inspect
 import re
 from pathlib import Path
@@ -66,6 +67,19 @@ def test_phase_table_is_a_plain_array():
         x, copies = cubesim.multiport._phase_slice(n)
         assert isinstance(x, np.ndarray)
         assert (len(x) * copies, x.shape[1]) == ((n - 1) * (n - 2) // 2, n)
+
+
+def test_multiport_report_holds_only_measured_residuals():
+    # self-adjointness and the Hermiticity pairing hold by construction;
+    # tests/oracles.py::dense_report measures them on the assembled matrix
+    names = [field.name for field in dataclasses.fields(cubesim.MultiportReport)]
+    assert names == [
+        "n_paths",
+        "involution_residual",
+        "diagonal_sum_drift",
+        "d_spectrum_deviation",
+        "bb_spectrum_deviation",
+    ]
 
 
 def test_fixed_guards_take_no_tolerance():
