@@ -251,9 +251,7 @@ def reference_checks() -> list[Check]:
     inconclusive = []
     for n in n_values:
         report = multiport.verify_multiport(n)
-        spectrum_dev = max(
-            spectrum_dev, report.bb_spectrum_deviation, report.d_spectrum_deviation
-        )
+        spectrum_dev = max(spectrum_dev, report.bb_spectrum_deviation)
         run = runs[n]
         inconclusive.append(run.p_inconclusive)
         saturation_dev = max(
@@ -407,7 +405,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             lines.append(
                 f"N={row['n_paths']:>2}  involution={row['involution_residual']:.3e}  "
                 f"diag-drift={row['diagonal_sum_drift']:.3e}  "
-                f"D-spectrum={row['d_spectrum_deviation']:.3e}  "
                 f"BB-spectrum={row['bb_spectrum_deviation']:.3e}  [{status}]"
             )
         _emit("\n".join(lines), args.out)

@@ -8,12 +8,14 @@ sub-basis; the ones built here are self-adjoint involutions that map each
 path cube onto a pure cube with *no* population in that path, the key
 ingredient of a perfect interaction-free measurement.
 
-The construction stacks copies of one slice x of discrete Fourier rows
-into a rectangular phase matrix and fixes the population block A and the
-coherence block B from the required images of the path cubes.  The
-closing block is ``D = sqrt(1 - B B+)``; since ``B B+`` has the two-point
-spectrum {0, N(N-2)/(N-1)^2}, this root has the closed form
-``D = 1 - ((N-1)/N) B B+`` with spectrum {1, 1/(N-1)}.
+The construction fixes the population block A and the coherence block B
+from the required images of the path cubes.  B's rows are copies of the
+distinct rows ``[conj(x); x] / (N-1)`` of one slice x of discrete Fourier
+rows, whose entries are gathered from the table of the N roots of unity.
+The closing block is ``D = sqrt(1 - B B+)``; since ``B B+`` has the
+two-point spectrum {0, N(N-2)/(N-1)^2}, this root has the closed form
+``D = 1 - ((N-1)/N) B B+`` with spectrum {1, 1/(N-1)}, gathered from the
+Gram of the distinct rows with no BLAS product.
 
 A and B fix the whole multiport, and A and x fix B, so construction checks
 two N x N identities on the slice: ``(N-1)^2 B+B = 2 copies Re(x+x) =
@@ -38,7 +40,9 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .tensor import _CYCLES, DEFAULT_TOL, HermitianCube, _check_paths, _freeze, hermitian_complete
+from .tensor import (
+    _CYCLES, DEFAULT_TOL, HermitianCube, _check_paths, _freeze, _roots, hermitian_complete
+)
 
 #: Tolerance of the multiport identities: the fixed construction check of
 #: B+B and B 1 (entrywise) and the default pass threshold of the Frobenius
@@ -62,14 +66,13 @@ def _phase_slice(n_paths: int) -> tuple[np.ndarray, int]:
     """Distinct rows x of the phase matrix and the number of their copies:
     the Fourier rows q = 1..N-1, (N-2)/2 times, for even N, and q =
     1..(N-1)/2, N-2 times, for odd N.  Row q holds ``w^(q (n-1))`` in
-    column n = 1..N."""
+    column n = 1..N, gathered from the N roots at ``q (n-1) mod N``."""
     _check_paths(n_paths, 3)
     if n_paths % 2 == 0:
         rows, copies = np.arange(1, n_paths), (n_paths - 2) // 2
     else:
         rows, copies = np.arange(1, (n_paths - 1) // 2 + 1), n_paths - 2
-    angles = 2.0 * np.pi * np.outer(rows, np.arange(n_paths)) / n_paths
-    return np.exp(1j * angles), copies
+    return _roots(n_paths)[np.outer(rows, np.arange(n_paths)) % n_paths], copies
 
 
 @functools.cache
@@ -312,27 +315,24 @@ def assemble_multiport(n_paths: int) -> MultiportMatrix:
     by construction, and it is an involution because :func:`_slice_blocks`
     checks ``B+B`` and ``B 1`` at ``MATRIX_TOL``; :func:`verify_multiport`
     measures the residuals of both identities.
-
-    The closing block is built in place: ``k X`` with ``k = (N-1)/N`` and
-    ``X = B B+``, then ``0 - k X``, then 1 added on the diagonal.  That is
-    ``id - k X`` bit for bit: ``(0 - y) + 1`` rounds as ``1 - y`` does, and
-    ``0 - y`` is ``+0.0`` for ``y = -0.0``, as subtracting from the zeros of
-    ``id`` gives, so ``dump-matrix`` prints the same sign on every zero.
     """
     n = n_paths
     a, x, copies, _ = _slice_blocks(n)
-    phases = np.tile(np.conj(x), (copies, 1))
-    b = np.vstack([phases, np.conj(phases)]) / (n - 1)
+    # B gathers its rows from the distinct rows [conj(x); x] / (N - 1)
+    rows = np.vstack([x.conj(), x]) / (n - 1)
+    index = (np.tile(np.arange(len(x)), (2, copies)) + [[0], [len(x)]]).ravel()
+    b = rows[index]
     d = n + len(b)
 
     matrix = np.empty((d, d), dtype=complex)  # every cell is written below
     matrix[:n, :n] = a
     matrix[n:, :n] = b
     matrix[:n, n:] = b.conj().T
+    # -k B B+ on the distinct rows; 0 - y keeps the +0.0 of id - k B B+
+    shifted = 0.0 - (n - 1) / n * _matmul(rows, rows.conj().T)
     closing = matrix[n:, n:]
-    np.matmul(b, b.conj().T, out=closing)
-    closing *= (n - 1) / n
-    np.subtract(0.0, closing, out=closing)
+    for source, row in enumerate(shifted[:, index]):  # no block-sized temporary
+        closing[index == source] = row
     diagonal = np.arange(d - n)
     closing[diagonal, diagonal] += 1
     matrix.setflags(write=False)  # so that MultiportMatrix adopts it uncopied
@@ -349,16 +349,14 @@ def apply_transform(t: MultiportMatrix, cube: HermitianCube) -> HermitianCube:
 class MultiportReport:
     """Residuals of the defining multiport identities (all should be tiny).
 
-    ``d_spectrum_deviation`` measures how far the closing block's
-    eigenvalues stray from the two admissible values {1, 1/(N-1)};
-    ``bb_spectrum_deviation`` does the same for the coherence Gram block
-    against {0, N(N-2)/(N-1)^2}.
+    ``bb_spectrum_deviation`` measures how far the eigenvalues of the
+    coherence Gram block stray from the two admissible values {0,
+    N(N-2)/(N-1)^2}.
     """
 
     n_paths: int
     involution_residual: float
     diagonal_sum_drift: float
-    d_spectrum_deviation: float
     bb_spectrum_deviation: float
 
     def worst(self) -> float:
@@ -369,21 +367,17 @@ class MultiportReport:
         return self.worst() <= tol
 
 
-def _spectrum_deviation(eigs: np.ndarray, admissible: tuple[float, float]) -> float:
-    """Largest distance from one of ``eigs`` to the nearer admissible value."""
-    return float(np.minimum(*(np.abs(eigs - value) for value in admissible)).max())
-
-
 def _squared_norm(x: np.ndarray) -> float:
     return float((np.abs(x) ** 2).sum())  # np.linalg.norm would sum through BLAS
 
 
 def verify_multiport(n_paths: int) -> MultiportReport:
     """Measure how well the N-path multiport satisfies its contract: the
-    involution residual (Frobenius norm), the population sum, and the two
-    block spectra.  Self-adjointness and the Hermiticity pairing hold by
-    construction (A is real and symmetric, and B's halves are conjugate);
-    the test oracle measures them on the assembled matrix.
+    involution residual (Frobenius norm), the population sum, and the
+    spectrum of ``B B+``.  Self-adjointness and the Hermiticity pairing hold
+    by construction (A is real and symmetric, and B's halves are
+    conjugate), and the closing block's spectrum follows from B's; the test
+    oracle measures all three on the assembled matrix.
 
     Every residual is read from A, the phase slice x and the Gram
     ``G = B+B = s Re(x+x)``, ``s = 2 copies / (N-1)^2``, of
@@ -397,8 +391,8 @@ def verify_multiport(n_paths: int) -> MultiportReport:
     cancels.  For real Y, ``|B Y|^2 = s |x Y|^2`` and ``(B Y)+ (B Y) = s
     Re((x Y)+ (x Y))``.  Given the pairing, M keeps the population sum iff
     A's column sums are 1 and B's row sums, those of ``x / (N-1)`` up to
-    conjugation, 0.  The closing block's eigenvalues are 1 and ``1 - k
-    lambda`` over G's eigenvalues lambda.
+    conjugation, 0.  The nonzero eigenvalues of ``B B+`` are those of G,
+    and the closing block's are ``1 - k lambda`` over the same lambda.
     """
     n = n_paths
     a, x, copies, gram = _slice_blocks(n)
@@ -410,12 +404,12 @@ def verify_multiport(n_paths: int) -> MultiportReport:
 
     drift = max(np.abs(a.sum(axis=0) - 1).max(), np.abs((x / (n - 1)).sum(axis=1)).max())
     eigs = np.linalg.eigvalsh(gram)
+    spectrum = np.minimum(np.abs(eigs), np.abs(eigs - n * (n - 2) / (n - 1) ** 2)).max()
     return MultiportReport(
         n_paths=n,
         involution_residual=float(np.sqrt(involution)),
         diagonal_sum_drift=float(drift),
-        d_spectrum_deviation=_spectrum_deviation(1 - k * eigs, (1.0, 1.0 / (n - 1))),
-        bb_spectrum_deviation=_spectrum_deviation(eigs, (0.0, n * (n - 2) / (n - 1) ** 2)),
+        bb_spectrum_deviation=float(spectrum),
     )
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .results import IFMResult
-from .tensor import DEFAULT_TOL, _check_index, _check_paths, _freeze, _not_found
+from .tensor import DEFAULT_TOL, _check_index, _check_paths, _freeze, _not_found, _roots
 
 #: Threshold above which an output-port probability of the no-bomb run
 #: counts as part of the inconclusive support set.  Deliberately distinct
@@ -119,8 +119,8 @@ def fourier_unitary(n: int) -> UnitaryMatrix:
     """Discrete Fourier transform on n paths, entries ``w^(jk) / sqrt(n)``
     with ``w = exp(i 2 pi / n)`` and 0-based exponents."""
     _check_paths(n, 2)
-    j, k = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    return UnitaryMatrix(n, np.exp(2j * np.pi * j * k / n) / np.sqrt(n))
+    j = np.arange(n)
+    return UnitaryMatrix(n, _roots(n)[np.outer(j, j) % n] / np.sqrt(n))
 
 
 def inject_first_path(u1: UnitaryMatrix) -> DensityMatrix:

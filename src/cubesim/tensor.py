@@ -56,6 +56,12 @@ def _check_paths(n_paths: int, minimum: int) -> None:
         raise ValueError(f"need at least {minimum} paths, got {n_paths}")
 
 
+def _roots(n: int) -> np.ndarray:
+    """The N-th roots of unity ``exp(i 2 pi m / N)``, m = 0..N-1.  Every
+    Fourier phase is gathered from this one table at its exponent mod N."""
+    return np.exp(1j * (2.0 * np.pi * np.arange(n) / n))
+
+
 def _check_index(value: int, n: int, name: str = "path") -> None:
     """Raise unless the 1-based index ``value`` lies in 1..n."""
     if not 1 <= value <= n:

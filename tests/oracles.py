@@ -45,11 +45,13 @@ def interferometer_cube():
 
 @dataclass(frozen=True)
 class DenseReport(MultiportReport):
-    """The residuals of :class:`MultiportReport` plus the two that the block
-    form holds by construction; ``worst`` and ``passes`` read all six."""
+    """The residuals of :class:`MultiportReport` plus the three that the
+    block form holds by construction, the closing block's spectrum among
+    them; ``worst`` and ``passes`` read all six."""
 
     adjoint_residual: float
     pairing_violation: float
+    d_spectrum_deviation: float
 
 
 def spectrum_deviation(block, admissible):
@@ -92,10 +94,10 @@ def dense_report(t):
         n_paths=n,
         involution_residual=involution,
         diagonal_sum_drift=float(drift),
-        d_spectrum_deviation=d_dev,
         bb_spectrum_deviation=bb_dev,
         adjoint_residual=adjoint,
         pairing_violation=float(pairing),
+        d_spectrum_deviation=d_dev,
     )
 
 
@@ -112,7 +114,9 @@ def out_of_place_multiport(n):
     expected[:n, :n] = a
     expected[n:, :n] = b
     expected[:n, n:] = b.conj().T
-    expected[n:, n:] = np.eye(d - n) - ((n - 1) / n) * (b @ b.conj().T)
+    # B B+ column by column, with no BLAS product
+    gram = np.stack([(b * row.conj()).sum(axis=1) for row in b], axis=1)
+    expected[n:, n:] = np.eye(d - n) - ((n - 1) / n) * gram
     return expected
 
 
@@ -120,10 +124,11 @@ def stacked_phase_matrix(n):
     """The stacked Fourier phase matrix from a repeated list of row
     exponents: (N-2)/2 copies of q = 1..N-1 for even N, N-2 copies of
     q = 1..(N-1)/2 for odd N, each row ``exp(i 2 pi q c / N)`` over the
-    columns c = 0..N-1."""
+    columns c = 0..N-1, read from a table of the N roots of unity at
+    ``q c mod N``."""
     if n % 2 == 0:
         exponents = list(range(1, n)) * ((n - 2) // 2)
     else:
         exponents = list(range(1, (n - 1) // 2 + 1)) * (n - 2)
-    angles = 2.0 * np.pi * np.outer(np.asarray(exponents), np.arange(n)) / n
-    return np.exp(1j * angles)
+    roots = np.exp(1j * (2.0 * np.pi * np.arange(n) / n))
+    return roots[np.outer(exponents, np.arange(n)) % n]

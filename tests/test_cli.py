@@ -179,15 +179,14 @@ def test_verify_json(capsys):
 
 
 VERIFY_PRETTY = """\
-N= 3  involution=6.167e-16  diag-drift=2.001e-16  D-spectrum=2.220e-16  BB-spectrum=3.331e-16  [pass]
-N= 4  involution=4.575e-16  diag-drift=1.570e-16  D-spectrum=1.110e-16  BB-spectrum=2.220e-16  [pass]
-N= 5  involution=6.639e-16  diag-drift=8.777e-17  D-spectrum=2.220e-16  BB-spectrum=3.331e-16  [pass]
+N= 3  involution=6.167e-16  diag-drift=2.001e-16  BB-spectrum=3.331e-16  [pass]
+N= 4  involution=3.063e-16  diag-drift=8.164e-17  BB-spectrum=2.220e-16  [pass]
+N= 5  involution=5.101e-16  diag-drift=6.206e-17  BB-spectrum=7.772e-16  [pass]
 """
 
 VERIFY_JSON = """[
   {
     "bb_spectrum_deviation": 3.3306690738754696e-16,
-    "d_spectrum_deviation": 2.220446049250313e-16,
     "diagonal_sum_drift": 2.0014830212433607e-16,
     "involution_residual": 6.166643069930834e-16,
     "n_paths": 3,
@@ -195,17 +194,15 @@ VERIFY_JSON = """[
   },
   {
     "bb_spectrum_deviation": 2.220446049250313e-16,
-    "d_spectrum_deviation": 1.1102230246251565e-16,
-    "diagonal_sum_drift": 1.5700924586837752e-16,
-    "involution_residual": 4.575425371272631e-16,
+    "diagonal_sum_drift": 8.164311994315688e-17,
+    "involution_residual": 3.0631261756292153e-16,
     "n_paths": 4,
     "passed": true
   },
   {
-    "bb_spectrum_deviation": 3.3306690738754696e-16,
-    "d_spectrum_deviation": 2.220446049250313e-16,
-    "diagonal_sum_drift": 8.777083671441753e-17,
-    "involution_residual": 6.639284431349144e-16,
+    "bb_spectrum_deviation": 7.771561172376096e-16,
+    "diagonal_sum_drift": 6.206335383118183e-17,
+    "involution_residual": 5.101333330812971e-16,
     "n_paths": 5,
     "passed": true
   }
@@ -595,13 +592,13 @@ def test_tight_tolerance_names_no_construction_invariant(capsys, n, tol):
     assert not any(word in err for word in CONSTRUCTION_INVARIANTS)
 
 
-# README's figures: the gap is computed on A and the phase slice, 5.1e-16 at
-# N = 12 and 1.558e-15 at N = 32
+# README's figures: the gap is computed on A and the phase slice, 2.2e-16 at
+# N = 3 and 1.110e-16 at N = 32
 def test_cube_gap_at_the_rounding_level(capsys):
-    assert run_cli(capsys, "ifm", "--model", "cube", "--n", "12", "--tol", "1e-15")[0] == 0
-    code, out, err = run_cli(capsys, "ifm", "--model", "cube", "--n", "32", "--tol", "1e-15")
+    assert run_cli(capsys, "ifm", "--model", "cube", "--n", "32", "--tol", "1e-15")[0] == 0
+    code, out, err = run_cli(capsys, "ifm", "--model", "cube", "--n", "3", "--tol", "1e-16")
     assert (code, out) == (1, "")
-    assert "deviates from the injected path cube by 1.558e-15" in err
+    assert "deviates from the injected path cube by 2.220e-16" in err
 
 
 TOLERANCE_COMMANDS = pytest.mark.parametrize(

@@ -35,6 +35,7 @@ from cubesim.multiport import (
     from_coords,
     sub_basis,
     t3_matrix,
+    verify_multiport,
 )
 from cubesim.quantum import DensityMatrix
 from cubesim.results import IFMResult, results_to_csv
@@ -176,8 +177,9 @@ def test_tol_accepts_the_exact_no_bomb_gap_and_nothing_below(n):
 
 def test_cube_run_above_the_cli_cap_is_within_one_and_a_half_ulp():
     # the dense oracle's d x d matrix is 4 GB at N = 128
-    for n in range(33, 129):
+    for n in [*range(33, 129), 256]:
         assert_within_one_and_a_half_ulp(run_cube_ifm(n))
+    assert verify_multiport(256).passes()
 
 
 def test_cube_run_builds_no_cube(monkeypatch):

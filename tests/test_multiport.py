@@ -404,10 +404,24 @@ def test_phase_matrix_invariants(n):
 @pytest.mark.parametrize("n", range(3, 33))
 def test_phase_matrix_is_bit_identical_to_the_stacked_formula(n):
     # the slice tiled by its copies keeps every bit of the stacked table,
-    # the B that assemble_multiport tiles and dump-matrix writes
+    # the B that assemble_multiport gathers and dump-matrix writes
     x, copies = _phase_slice(n)
     expected = stacked_phase_matrix(n)
     assert np.array_equal(np.tile(x, (copies, 1)).view(np.int64), expected.view(np.int64))
+
+
+@pytest.mark.parametrize("n", [32, 128, 256])
+def test_phase_slice_roots_are_within_a_few_ulp(n):
+    # every entry with exponent q c = m mod N is the same gathered root,
+    # exp(i 2 pi m / N), checked against 50 digits
+    mpmath = pytest.importorskip("mpmath")
+    x, _ = _phase_slice(n)
+    exponents = np.outer(np.arange(1, len(x) + 1), np.arange(n)) % n
+    with mpmath.workdps(50):
+        for m in range(n):
+            (root,) = np.unique(x[exponents == m])
+            error = abs(mpmath.mpc(root.real, root.imag) - mpmath.expjpi(mpmath.mpf(2 * m) / n))
+            assert error <= 4 * np.finfo(float).eps, m
 
 
 def test_phase_matrix_needs_three_paths():
@@ -621,9 +635,10 @@ def test_block_report_matches_dense_oracle(n):
     np.testing.assert_allclose(astuple(report)[1:], shared[1:], rtol=0, atol=1e-14)
     assert report.n_paths == oracle.n_paths
     assert report.passes() == oracle.passes()
-    # the two residuals that the block form holds by construction
+    # the three residuals that the block form holds by construction
     assert oracle.adjoint_residual <= 1e-14
     assert oracle.pairing_violation <= 1e-14
+    assert oracle.d_spectrum_deviation <= 1e-14
 
 
 def test_verify_holds_no_dense_matrix():
@@ -775,7 +790,7 @@ def test_closed_form_identities_behind_the_construction_check(n):
     )
 
 
-@pytest.mark.parametrize("n", range(3, 33))
+@pytest.mark.parametrize("n", [*range(3, 33), 64, 128, 256])
 def test_construction_check_residuals_have_headroom(n):
     # the residuals the check compares, on the phase slice
     x, copies = _phase_slice(n)

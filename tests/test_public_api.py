@@ -70,14 +70,14 @@ def test_phase_table_is_a_plain_array():
 
 
 def test_multiport_report_holds_only_measured_residuals():
-    # self-adjointness and the Hermiticity pairing hold by construction;
+    # self-adjointness, the Hermiticity pairing and the closing block's
+    # spectrum, which follows from B B+'s, hold by construction;
     # tests/oracles.py::dense_report measures them on the assembled matrix
     names = [field.name for field in dataclasses.fields(cubesim.MultiportReport)]
     assert names == [
         "n_paths",
         "involution_residual",
         "diagonal_sum_drift",
-        "d_spectrum_deviation",
         "bb_spectrum_deviation",
     ]
 

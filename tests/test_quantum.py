@@ -72,6 +72,14 @@ def test_fourier_four_paths_second_row():
     np.testing.assert_allclose(f[1], np.array([1, 1j, -1, -1j]) / 2.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("n", [16, 32, 64])
+def test_fourier_unitary_is_unitary_to_a_few_ulp(n):
+    # its entries are gathered from one table of the n roots of unity, so
+    # no phase carries the rounding of a large angle j k 2 pi / n
+    f = fourier_unitary(n).entries
+    assert np.abs(f.conj().T @ f - np.eye(n)).max() <= 4 * np.finfo(float).eps
+
+
 def test_fourier_needs_two_paths():
     with pytest.raises(ValueError, match="at least 2"):
         fourier_unitary(1)
