@@ -14,14 +14,16 @@ distinct rows ``[conj(x); x] / (N-1)`` of one slice x of discrete Fourier
 rows, whose entries are gathered from the table of the N roots of unity.
 The closing block is ``D = sqrt(1 - B B+)``; since ``B B+`` has the
 two-point spectrum {0, N(N-2)/(N-1)^2}, this root has the closed form
-``D = 1 - ((N-1)/N) B B+`` with spectrum {1, 1/(N-1)}, gathered from the
-Gram of the distinct rows with no BLAS product.
+``D = 1 - ((N-1)/N) B B+`` with spectrum {1, 1/(N-1)}.  B's rows are DFT
+rows over N - 1, so ``B B+ = N S / (N-1)^2``, S marking the pairs of rows
+on one Fourier row mod N, and D is written exactly as ``1 - S / (N-1)``.
 
 A and B fix the whole multiport, and A and x fix B, so construction checks
 two N x N identities on the slice: ``(N-1)^2 B+B = 2 copies Re(x+x) =
-(N-2)(N id - ones)`` and ``x 1 = 0``.  Together they imply ``M M = id``
-(see :func:`_slice_blocks`); :func:`verify_multiport` measures the
-residuals from A and x.
+(N-2)(N id - ones)`` and ``x 1 = 0``.  They certify ``M M = id`` for ``D
+= 1 - k B B+``, k = (N-1)/N (see :func:`_slice_blocks`); the written D
+equals that block because B's rows are DFT rows, and the test suite pins
+the two to within 1 eps.  :func:`verify_multiport` measures the residuals.
 
 On root-of-unity conventions: the rows of the slice x use
 ``exp(+i 2 pi / N)`` while the optimal cubes (and hence the assembled
@@ -225,8 +227,8 @@ def _slice_blocks(n_paths: int) -> tuple[np.ndarray, np.ndarray, int, np.ndarray
     With ``G0 = (N-2)(N id - ones) / (N-1)^2`` and ``k = (N-1)/N``,
     ``A^2 + G0 = id``, ``A + id - k G0 = (2/N) ones`` and ``(1 - 2k) id +
     k^2 G0 = -((N-2)/N^2) ones``, so ``B+B = G0`` and ``B 1 = 0`` make
-    every block of ``M M - id`` vanish for the assembled M: they are its
-    whole construction check.
+    every block of ``M M - id`` vanish for ``M = [[A, B+], [B, id - k B
+    B+]]``, whose closing block the assembled ``id - S / (N-1)`` equals.
     """
     n = n_paths
     x, copies = _phase_slice(n)
@@ -310,31 +312,29 @@ def assemble_multiport(n_paths: int) -> MultiportMatrix:
 
     The population block is ``(ones - id) / (N - 1)``; the coherence rows
     are the three-path coordinates of the optimal cubes; the top-right
-    block is their adjoint; and the closing block is the closed-form root
-    ``sqrt(1 - B B+) = 1 - ((N-1)/N) B B+``.  The matrix is self-adjoint
-    by construction, and it is an involution because :func:`_slice_blocks`
-    checks ``B+B`` and ``B 1`` at ``MATRIX_TOL``; :func:`verify_multiport`
-    measures the residuals of both identities.
+    block is their adjoint; and the closing block ``sqrt(1 - B B+) = 1 -
+    k B B+`` is written exactly as ``1 - S / (N-1)``, S marking the pairs of
+    B's rows on one Fourier row.  The matrix is self-adjoint by
+    construction; :func:`_slice_blocks` checks ``B+B`` and ``B 1`` at
+    ``MATRIX_TOL``, which certifies ``M M = id`` for ``D = 1 - k B B+``, and
+    :func:`verify_multiport` measures the residuals of both identities.
     """
     n = n_paths
     a, x, copies, _ = _slice_blocks(n)
-    # B gathers its rows from the distinct rows [conj(x); x] / (N - 1)
+    # B gathers its rows from [conj(x); x] / (N - 1), Fourier rows -q and q
     rows = np.vstack([x.conj(), x]) / (n - 1)
     index = (np.tile(np.arange(len(x)), (2, copies)) + [[0], [len(x)]]).ravel()
-    b = rows[index]
+    q = np.arange(1, len(x) + 1)
+    b, fourier_row = rows[index], np.concatenate([-q, q])[index] % n
     d = n + len(b)
-
-    matrix = np.empty((d, d), dtype=complex)  # every cell is written below
+    matrix = np.zeros((d, d), dtype=complex)
     matrix[:n, :n] = a
     matrix[n:, :n] = b
     matrix[:n, n:] = b.conj().T
-    # -k B B+ on the distinct rows; 0 - y keeps the +0.0 of id - k B B+
-    shifted = 0.0 - (n - 1) / n * _matmul(rows, rows.conj().T)
+    # k B B+ = S / (N - 1), so D = id - S / (N - 1), with +0.0 off S
     closing = matrix[n:, n:]
-    for source, row in enumerate(shifted[:, index]):  # no block-sized temporary
-        closing[index == source] = row
-    diagonal = np.arange(d - n)
-    closing[diagonal, diagonal] += 1
+    np.copyto(closing, -1 / (n - 1), where=fourier_row[:, None] == fourier_row)
+    np.fill_diagonal(closing, (n - 2) / (n - 1))
     matrix.setflags(write=False)  # so that MultiportMatrix adopts it uncopied
     return MultiportMatrix(n_paths, matrix)
 

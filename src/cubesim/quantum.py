@@ -41,10 +41,10 @@ class DensityMatrix:
 
     n_paths: int
     entries: np.ndarray
-    # kept from validation: the ascending spectrum and eigenvectors (columns)
-    # of ``entries``, so later steps need no eigensolver, and the largest residual
-    _eigenvalues: np.ndarray = field(init=False, repr=False)
-    _eigenvectors: np.ndarray = field(init=False, repr=False)
+    # kept from validation: the eigenvectors (columns) of ``entries`` with
+    # eigenvalue above ``DEFAULT_TOL``, so later steps need no eigensolver,
+    # and the largest residual
+    _support: np.ndarray = field(init=False, repr=False)
     _residual: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -63,9 +63,9 @@ class DensityMatrix:
             raise ValueError(f"density matrix has negative eigenvalue {lowest:.3e}")
         _freeze(self, "entries", arr)
         object.__setattr__(self, "_residual", max(hermiticity, trace_drift, -lowest))
-        for name, fresh in (("_eigenvalues", eigenvalues), ("_eigenvectors", eigenvectors)):
-            fresh.setflags(write=False)  # so that _freeze adopts it
-            _freeze(self, name, fresh)
+        support = eigenvectors[:, eigenvalues > DEFAULT_TOL]
+        support.setflags(write=False)  # so that _freeze adopts it
+        _freeze(self, "_support", support)
 
     @classmethod
     def from_state_vector(cls, amplitudes: object) -> "DensityMatrix":
@@ -173,8 +173,7 @@ def luders_remove_path(rho: DensityMatrix, path: int) -> tuple[float, DensityMat
 def support_projector(rho: DensityMatrix) -> np.ndarray:
     """Orthogonal projector onto the eigenvectors of rho with eigenvalue
     above ``DEFAULT_TOL``, the rank cutoff of its validation."""
-    keep = rho._eigenvectors[:, rho._eigenvalues > DEFAULT_TOL]
-    return keep @ keep.conj().T
+    return rho._support @ rho._support.conj().T
 
 
 def quantum_tradeoff_bounds(rho: DensityMatrix, bomb_path: int) -> tuple[float, float]:

@@ -105,7 +105,9 @@ def out_of_place_multiport(n):
     """The d x d multiport ``[[A, B+], [B, I - k B B+]]`` with k = (N-1)/N,
     ``d = N + (N-1)(N-2)``, ``A = (ones - id) / (N-1)`` and ``B = [conj(P);
     P] / (N-1)`` for the stacked phase matrix P, each block written into a
-    fresh zero matrix."""
+    fresh zero matrix.  The rows of B are the Fourier rows -q and q mod N
+    over N - 1, so ``k B B+`` is 1/(N-1) where two rows share q and 0
+    elsewhere, and the closing block is written from the exponent list."""
     phases = stacked_phase_matrix(n)
     a = (np.ones((n, n)) - np.eye(n)) / (n - 1)
     b = np.vstack([np.conj(phases), phases]) / (n - 1)
@@ -114,21 +116,26 @@ def out_of_place_multiport(n):
     expected[:n, :n] = a
     expected[n:, :n] = b
     expected[:n, n:] = b.conj().T
-    # B B+ column by column, with no BLAS product
-    gram = np.stack([(b * row.conj()).sum(axis=1) for row in b], axis=1)
-    expected[n:, n:] = np.eye(d - n) - ((n - 1) / n) * gram
+    exponents = np.array(phase_exponents(n))
+    fourier_rows = np.concatenate([-exponents, exponents]) % n
+    closing = np.where(fourier_rows[:, None] == fourier_rows, -1 / (n - 1), 0.0)
+    np.fill_diagonal(closing, (n - 2) / (n - 1))
+    expected[n:, n:] = closing
     return expected
 
 
-def stacked_phase_matrix(n):
-    """The stacked Fourier phase matrix from a repeated list of row
-    exponents: (N-2)/2 copies of q = 1..N-1 for even N, N-2 copies of
-    q = 1..(N-1)/2 for odd N, each row ``exp(i 2 pi q c / N)`` over the
-    columns c = 0..N-1, read from a table of the N roots of unity at
-    ``q c mod N``."""
+def phase_exponents(n):
+    """The repeated list of Fourier row exponents of the stacked phase
+    matrix: (N-2)/2 copies of q = 1..N-1 for even N, N-2 copies of
+    q = 1..(N-1)/2 for odd N."""
     if n % 2 == 0:
-        exponents = list(range(1, n)) * ((n - 2) // 2)
-    else:
-        exponents = list(range(1, (n - 1) // 2 + 1)) * (n - 2)
+        return list(range(1, n)) * ((n - 2) // 2)
+    return list(range(1, (n - 1) // 2 + 1)) * (n - 2)
+
+
+def stacked_phase_matrix(n):
+    """The stacked Fourier phase matrix, row ``exp(i 2 pi q c / N)`` for
+    each exponent q of :func:`phase_exponents` over the columns c =
+    0..N-1, read from a table of the N roots of unity at ``q c mod N``."""
     roots = np.exp(1j * (2.0 * np.pi * np.arange(n) / n))
-    return roots[np.outer(exponents, np.arange(n)) % n]
+    return roots[np.outer(phase_exponents(n), np.arange(n)) % n]

@@ -539,6 +539,31 @@ def test_assembled_multiport_is_bit_identical_to_the_out_of_place_formula(n):
     assert np.array_equal(actual.view(np.int64), expected.view(np.int64))
 
 
+@pytest.mark.parametrize("n", [*range(3, 33), 48, 64])
+def test_closing_block_is_exactly_id_minus_s_over_n_minus_1(n):
+    # B's rows are DFT rows over N - 1, so id - k B B+ = id - S / (N-1) with
+    # S marking the pairs of rows on one Fourier row; the assembled block
+    # holds only its three exact values and is within 1 eps of the product
+    t = assemble_multiport(n)
+    b, closing = t.matrix[n:, :n], t.matrix[n:, n:]
+    # column 1 of a row of B is w^q / (N - 1) for its Fourier row q
+    fourier_row = np.rint(np.angle(b[:, 1]) * n / (2 * np.pi)).astype(int) % n
+    exact = np.array([0.0, -1 / (n - 1), (n - 2) / (n - 1)]).view(np.int64)
+    k, worst = (n - 1) / n, 0.0
+    for start in range(0, len(b), 256):  # row chunks keep N = 64 small
+        block = closing[start : start + 256]
+        rows = np.arange(start, start + len(block))
+        assert not block.imag.view(np.int64).any()  # every imaginary part is +0.0
+        assert np.isin(block.real.view(np.int64), exact).all()
+        same = fourier_row[rows, None] == fourier_row
+        assert (same.sum(axis=1) == n - 2).all()
+        assert np.array_equal(block.real != 0, same)
+        product = -k * (b[rows] @ b.conj().T)
+        product[np.arange(len(rows)), rows] += 1
+        worst = max(worst, float(np.abs(product - block).max()))
+    assert worst <= np.finfo(float).eps
+
+
 def test_assembly_holds_the_matrix_once():
     tracemalloc.start()
     try:

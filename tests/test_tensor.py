@@ -10,6 +10,7 @@ from cubesim.quantum import DensityMatrix, UnitaryMatrix, fourier_unitary
 from cubesim.tensor import (
     DEFAULT_TOL,
     HermitianCube,
+    _roots,
     cube_inner,
     hermitian_complete,
     hermiticity_violation,
@@ -197,6 +198,19 @@ def test_constructors_reject_nan(name, everywhere):
         arr.flat[1] = np.nan
     with pytest.raises(ValueError):
         construct(arr)
+
+
+def test_roots_are_within_the_stated_ulp_for_every_n():
+    # every Fourier phase is gathered from _roots(N): within 6 eps of
+    # exp(i 2 pi m / N), 50 digits, for N <= 256, and 3 eps for powers of two
+    mpmath = pytest.importorskip("mpmath")
+    eps = np.finfo(float).eps
+    with mpmath.workdps(50):
+        for n in range(2, 257):
+            bound = (3 if n & (n - 1) == 0 else 6) * eps
+            for m, root in enumerate(_roots(n).tolist()):
+                exact = mpmath.expjpi(mpmath.mpf(2 * m) / n)
+                assert abs(mpmath.mpc(root) - exact) <= bound, (n, m)
 
 
 # --- property tests ---------------------------------------------------------
