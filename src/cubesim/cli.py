@@ -112,64 +112,34 @@ def _json_dump(payload: object) -> str:
     return json.dumps(payload, sort_keys=True, indent=2)
 
 
-def _multiport_json(transform: multiport.MultiportMatrix) -> Iterator[str]:
-    """``_json_dump`` of the multiport's ``n_paths``, ``basis_order`` and
-    ``matrix`` (rows of ``[re, im]`` pairs) in chunks, one matrix row each.
-
-    Rows are grouped by the bit patterns of their N population columns.
-    Each group's first row is formatted cell by cell; every other row
-    copies that reference row's cell texts and puts in the cells where it
-    differs.  An assembled multiport has 94 groups at N = 32, and its
-    other rows differ from their reference in 2 cells each (1736 of
-    925,444 cells); a matrix without that structure is written just as
-    exactly, only slower.  Each distinct ``[re, im]`` pair among the
-    reference rows and differing cells is formatted once.  Cells and pairs
-    are told apart by the bit patterns of their floats, not by value,
-    which keeps ``-0.0`` apart from ``0.0``.  Every check runs before the
-    first chunk, so a failure writes nothing.
-    """
+def _multiport_json(n_paths: int, values: np.ndarray, codes: np.ndarray) -> Iterator[str]:
+    """``_json_dump`` of an N-path multiport's ``n_paths``, ``basis_order``
+    and ``matrix`` (rows of ``[re, im]`` pairs) in chunks, one matrix row
+    each, for the matrix ``values[codes]`` of :func:`multiport._cell_table`.
+    Each value is formatted once.  The check runs before the first chunk,
+    so a failure writes nothing."""
+    if not np.isfinite(values).all():
+        raise ValueError(f"multiport for N={n_paths} has a non-finite entry")
     placeholder = "@matrix@"
     head, tail = _json_dump(
         {
-            "basis_order": list(transform.basis.labels),
+            "basis_order": list(multiport.sub_basis(n_paths).labels),
             "matrix": placeholder,
-            "n_paths": transform.n_paths,
+            "n_paths": n_paths,
         }
     ).split(json.dumps(placeholder))
-    n, d = transform.n_paths, transform.basis.dim
-    bits = transform.matrix.view(np.float64).view(np.int64)  # rows of re, im
-    firsts: dict[bytes, int] = {}
-    reference = [firsts.setdefault(bits[row, : 2 * n].tobytes(), row) for row in range(d)]
-    unequal = bits != bits[reference]
-    rows, columns = np.nonzero(unequal[:, 0::2] | unequal[:, 1::2])
-    cells = bits.reshape(d, d, 2)
-    # the cells of the reference rows, in row order, then the differing cells
-    sample = np.concatenate(
-        [cells[list(firsts.values())].reshape(-1, 2), cells[rows, columns]]
-    )
-    floats, index = np.unique(sample, return_inverse=True)
-    if not np.isfinite(floats.view(np.float64)).all():
-        raise ValueError(f"multiport for N={transform.n_paths} has a non-finite entry")
-    index = index.reshape(-1, 2)  # numpy 1 returns the inverse flat
-    pairs, pair_of = np.unique(index[:, 0] * len(floats) + index[:, 1], return_inverse=True)
-    text = [float.__repr__(x) for x in floats.view(np.float64).tolist()]
     # one [re, im] pair in the indent=2 layout, two levels deep
     pair = "\n      [\n        %s,\n        %s\n      ]"
-    pair_text = [pair % (text[k // len(floats)], text[k % len(floats)]) for k in pairs.tolist()]
-    cell_text = np.array(pair_text, dtype=object)[pair_of].tolist()
-    lines = {first: cell_text[i * d : (i + 1) * d] for i, first in enumerate(firsts.values())}
-    differing: dict[int, list[tuple[int, str]]] = {}
-    for row, column, cell in zip(rows.tolist(), columns.tolist(), cell_text[len(lines) * d :]):
-        differing.setdefault(row, []).append((column, cell))
-
-    def row_texts() -> Iterator[str]:
-        for row, first in enumerate(reference):
-            line = lines[first].copy()
-            for column, cell in differing.get(row, ()):
-                line[column] = cell
-            yield (",\n    [" if row else "\n    [") + ",".join(line) + "\n    ]"
-
-    return itertools.chain([head, "["], row_texts(), ["\n  ]", tail])
+    texts = np.array(
+        [pair % (float.__repr__(re), float.__repr__(im))
+         for re, im in zip(values.real.tolist(), values.imag.tolist())],
+        dtype=object,
+    )
+    rows = (
+        (",\n    [" if row else "\n    [") + ",".join(texts[line].tolist()) + "\n    ]"
+        for row, line in enumerate(codes)
+    )
+    return itertools.chain([head, "["], rows, ["\n  ]", tail])
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +382,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_dump_matrix(args: argparse.Namespace) -> int:
-    _emit(_multiport_json(multiport.assemble_multiport(args.n)), args.out)
+    _emit(_multiport_json(args.n, *multiport._cell_table(args.n)), args.out)
     return 0
 
 

@@ -17,6 +17,8 @@ two-point spectrum {0, N(N-2)/(N-1)^2}, this root has the closed form
 ``D = 1 - ((N-1)/N) B B+`` with spectrum {1, 1/(N-1)}.  B's rows are DFT
 rows over N - 1, so ``B B+ = N S / (N-1)^2``, S marking the pairs of rows
 on one Fourier row mod N, and D is written exactly as ``1 - S / (N-1)``.
+Every cell of the multiport is thus one entry of a small value table, from
+which :func:`assemble_multiport` gathers the matrix (see :func:`_cell_table`).
 
 A and B fix the whole multiport, and A and x fix B, so construction checks
 two N x N identities on the slice: ``(N-1)^2 B+B = 2 copies Re(x+x) =
@@ -307,34 +309,56 @@ def t3_matrix() -> MultiportMatrix:
     return MultiportMatrix(3, matrix)
 
 
+def _cell_table(n_paths: int) -> tuple[np.ndarray, np.ndarray]:
+    """The N-path multiport as a value table and a d x d array of codes
+    into it, of the smallest unsigned type that indexes the table, so that
+    the matrix is ``values[codes]``.
+
+    The values are A's two, then the closing block's three, +0.0, -1/(N-1)
+    and (N-2)/(N-1), then the cells of B's distinct rows ``[conj(x); x] /
+    (N - 1)`` and of their conjugates.  B picks its rows from the first,
+    and B+ its columns from the second.  ``k B B+ = S / (N - 1)``, S
+    marking the pairs of B's rows on one Fourier row mod N (-q for
+    ``conj(x)``'s row q, q for x's), so the closing block is
+    ``id - S / (N - 1)``, with +0.0 off S."""
+    n = n_paths
+    a, x, copies, _ = _slice_blocks(n)
+    rows = np.vstack([x.conj(), x]) / (n - 1)
+    index = (np.tile(np.arange(len(x)), (2, copies)) + [[0], [len(x)]]).ravel()
+    q = np.arange(1, len(x) + 1)
+    fourier_row = np.concatenate([-q, q])[index] % n
+    # codes 0-1: A's diagonal and off-diagonal; 2-4: D's 0, off-diagonal on S, diagonal
+    fixed = [a[0, 0], a[0, 1], 0.0, -1 / (n - 1), (n - 2) / (n - 1)]
+    values = np.concatenate([fixed, rows.ravel(), rows.conj().ravel()])
+    d = n + len(index)
+    codes = np.empty((d, d), dtype=np.min_scalar_type(len(values)))
+    codes[:n, :n] = 1
+    np.fill_diagonal(codes[:n, :n], 0)
+    b = len(fixed) + n * index[:, None] + np.arange(n)
+    codes[n:, :n] = b
+    codes[:n, n:] = b.T + rows.size
+    closing = codes[n:, n:]
+    closing[...] = 2
+    np.copyto(closing, 3, where=fourier_row[:, None] == fourier_row)
+    np.fill_diagonal(closing, 4)
+    return values, codes
+
+
 def assemble_multiport(n_paths: int) -> MultiportMatrix:
     """Build the N-path cube multiport mapping path cube n to optimal cube n.
 
     The population block is ``(ones - id) / (N - 1)``; the coherence rows
     are the three-path coordinates of the optimal cubes; the top-right
     block is their adjoint; and the closing block ``sqrt(1 - B B+) = 1 -
-    k B B+`` is written exactly as ``1 - S / (N-1)``, S marking the pairs of
-    B's rows on one Fourier row.  The matrix is self-adjoint by
-    construction; :func:`_slice_blocks` checks ``B+B`` and ``B 1`` at
-    ``MATRIX_TOL``, which certifies ``M M = id`` for ``D = 1 - k B B+``, and
+    k B B+`` is exactly ``1 - S / (N-1)``.  Every cell is gathered from the
+    value table of :func:`_cell_table`, which ``dump-matrix`` formats
+    directly.  The matrix is self-adjoint by construction;
+    :func:`_slice_blocks` checks ``B+B`` and ``B 1`` at ``MATRIX_TOL``,
+    which certifies ``M M = id`` for ``D = 1 - k B B+``, and
     :func:`verify_multiport` measures the residuals of both identities.
     """
-    n = n_paths
-    a, x, copies, _ = _slice_blocks(n)
-    # B gathers its rows from [conj(x); x] / (N - 1), Fourier rows -q and q
-    rows = np.vstack([x.conj(), x]) / (n - 1)
-    index = (np.tile(np.arange(len(x)), (2, copies)) + [[0], [len(x)]]).ravel()
-    q = np.arange(1, len(x) + 1)
-    b, fourier_row = rows[index], np.concatenate([-q, q])[index] % n
-    d = n + len(b)
-    matrix = np.zeros((d, d), dtype=complex)
-    matrix[:n, :n] = a
-    matrix[n:, :n] = b
-    matrix[:n, n:] = b.conj().T
-    # k B B+ = S / (N - 1), so D = id - S / (N - 1), with +0.0 off S
-    closing = matrix[n:, n:]
-    np.copyto(closing, -1 / (n - 1), where=fourier_row[:, None] == fourier_row)
-    np.fill_diagonal(closing, (n - 2) / (n - 1))
+    values, codes = _cell_table(n_paths)
+    matrix = values[codes]
     matrix.setflags(write=False)  # so that MultiportMatrix adopts it uncopied
     return MultiportMatrix(n_paths, matrix)
 

@@ -8,12 +8,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubesim import cli, experiments
 from cubesim.cli import _multiport_json, main, reference_checks
-from cubesim.multiport import MultiportMatrix, assemble_multiport
+from cubesim.multiport import MultiportMatrix, _cell_table, assemble_multiport
 
 
 def run_cli(capsys, *argv):
@@ -71,6 +71,35 @@ def test_ifm_cube_json_bytes_are_pinned(capsys, n, bound, p_inconclusive, p_succ
     code, out, err = run_cli(capsys, "ifm", "--model", "cube", "--n", str(n))
     assert (code, err) == (0, "")
     assert out == CUBE_IFM_JSON % (bound, n, n, p_inconclusive, p_success)
+
+
+IFM_PRETTY = {
+    "cube": """bound: 0.5
+label: cube_multiport_3
+model: cube
+n_paths: 3
+p_inconclusive: 0.5
+p_success: 0.5
+p_trigger: 0.0
+support_sensitive: False
+""",
+    "quantum": """bound: 0.24999999999999978
+label: fourier_2
+model: quantum
+n_paths: 2
+p_inconclusive: 0.25
+p_success: 0.2499999999999999
+p_trigger: 0.5000000000000001
+support_sensitive: False
+""",
+}
+
+
+@pytest.mark.parametrize("model, n", [("cube", 3), ("quantum", 2)])
+def test_ifm_pretty_bytes_are_pinned(capsys, model, n):
+    code, out, err = run_cli(capsys, "ifm", "--model", model, "--n", str(n), "--format", "pretty")
+    assert (code, err) == (0, "")
+    assert out == IFM_PRETTY[model]
 
 
 def test_ifm_quantum_fourier(capsys):
@@ -328,13 +357,19 @@ def test_dump_matrix_bytes_match_json_dumps(capsys, tmp_path, n):
     assert target.read_bytes() == expected.encode()
 
 
+def table_json(n_paths: int, values: np.ndarray, codes: np.ndarray) -> str:
+    """``json.dumps`` of the multiport ``values[codes]``, the oracle for
+    ``_multiport_json`` of that value table."""
+    t = MultiportMatrix(n_paths, values[codes])
+    return json.dumps(multiport_json_dict(t), sort_keys=True, indent=2)
+
+
 def test_multiport_json_keeps_every_float_spelling():
     # -0.0 and 0.0 are equal as values but not as bit patterns
-    values = [0.0, -0.0, 1.0, 5e-324, 1 / 3, -1 / 3, -5e-324, 1e300]
-    matrix = np.resize(values, 50).view(complex).reshape(5, 5)
-    t = MultiportMatrix(3, matrix)
-    expected = json.dumps(multiport_json_dict(t), sort_keys=True, indent=2)
-    assert "".join(_multiport_json(t)) == expected
+    values = np.resize([0.0, -0.0, 1.0, 5e-324, 1 / 3, -1 / 3, -5e-324, 1e300], 50).view(complex)
+    codes = np.random.default_rng(5).permutation(25).reshape(5, 5).astype(np.uint8)
+    expected = table_json(3, values, codes)
+    assert "".join(_multiport_json(3, values, codes)) == expected
     assert "-0.0" in expected and "5e-324" in expected
 
 
@@ -343,64 +378,31 @@ def test_multiport_json_keeps_every_float_spelling():
 FLOAT_POOL = [0.0, -0.0, 5e-324, -5e-324, 1 / 3, -1 / 3, 1.0, 1e300]
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.sampled_from(FLOAT_POOL), min_size=50, max_size=50))
-def test_multiport_json_matches_json_dumps_for_colliding_pairs(floats):
-    matrix = np.array(floats).view(complex).reshape(5, 5)
-    t = MultiportMatrix(3, matrix)
-    expected = json.dumps(multiport_json_dict(t), sort_keys=True, indent=2)
-    assert "".join(_multiport_json(t)) == expected
-
-
 CELLS = st.builds(complex, st.sampled_from(FLOAT_POOL), st.sampled_from(FLOAT_POOL))
-#: columns where a spliced cell is easy to misplace: the first and the last
-#: column, and the first one after the four population columns
-EDGE_COLUMNS = st.sampled_from([0, 4, 9]) | st.integers(0, 9)
 
 
 @st.composite
-def grouped_matrices(draw):
-    """10 x 10 matrices (N = 4) whose rows copy one of a few base rows and
-    then differ from it in a few cells, one row in every cell."""
-    bases = draw(st.lists(st.lists(CELLS, min_size=10, max_size=10), min_size=1, max_size=3))
-    rows = [list(draw(st.sampled_from(bases))) for _ in range(10)]
-    for row in rows:
-        for column in draw(st.lists(EDGE_COLUMNS, max_size=3)):
-            row[column] = draw(CELLS)
-    # negation flips the sign bit of both floats of every cell
-    everywhere = draw(st.integers(0, 9))
-    rows[everywhere] = [-cell for cell in rows[everywhere]]
-    return np.array(rows)
-
-
-def spliced_edges():
-    # rows 1-4 share row 0's population columns, so each is written as row
-    # 0's text with its differing cells spliced in
-    matrix = np.tile(np.resize([1 / 3, -0.0, 1e300], 10), (10, 1)).astype(complex)
-    matrix[1, 4] = -0.0
-    matrix[2, 9] = 5e-324j
-    matrix[3, [4, 9]] = -5e-324
-    matrix[4, 4:] = -matrix[4, 4:]
-    matrix[5:] = -matrix[5:]
-    return matrix
+def cell_tables(draw):
+    """A value table of FLOAT_POOL cells, repeats allowed, and random 10 x
+    10 codes (N = 4) into it, of either code dtype."""
+    values = np.array(draw(st.lists(CELLS, min_size=1, max_size=8)))
+    dtype = draw(st.sampled_from([np.uint8, np.uint16]))
+    codes = draw(st.lists(st.integers(0, len(values) - 1), min_size=100, max_size=100))
+    return values, np.array(codes, dtype=dtype).reshape(10, 10)
 
 
 @settings(max_examples=200, deadline=None)
-@given(grouped_matrices())
-@example(spliced_edges())
-def test_multiport_json_matches_json_dumps_for_spliced_rows(matrix):
-    t = MultiportMatrix(4, matrix)
-    expected = json.dumps(multiport_json_dict(t), sort_keys=True, indent=2)
-    assert "".join(_multiport_json(t)) == expected
+@given(cell_tables())
+def test_multiport_json_matches_json_dumps_for_colliding_pairs(table):
+    values, codes = table
+    assert "".join(_multiport_json(4, values, codes)) == table_json(4, values, codes)
 
 
 def test_dump_matrix_rejects_non_finite_entries(capsys, tmp_path, monkeypatch):
-    matrix = np.array(assemble_multiport(3).matrix)
-    matrix[1, 2] = np.nan
-    monkeypatch.setattr(
-        "cubesim.multiport.assemble_multiport",
-        lambda n: MultiportMatrix(3, matrix),
-    )
+    values, codes = _cell_table(3)
+    values = values.copy()
+    values[codes[1, 2]] = np.nan
+    monkeypatch.setattr("cubesim.multiport._cell_table", lambda n: (values, codes))
     target = tmp_path / "matrix.json"
     code, out, err = run_cli(capsys, "dump-matrix", "--n", "3", "--out", str(target))
     assert code == 1
@@ -729,6 +731,24 @@ def test_wide_n_range_is_rejected_before_it_is_built(capsys, argv, stray):
     assert info.value.code == 2
     assert f"path count {stray} outside" in capsys.readouterr().err
     assert peak < 2**20
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "--n", "5..3"], "empty path-count specification"),
+        (["ifm", "--model", "cube", "--n", "3..5"], "expected a single path count, got 3"),
+        (["verify", "--n", "x"], "cannot parse path counts from 'x'"),
+    ],
+    ids=["empty", "not-single", "unparsable"],
+)
+def test_path_count_specification_errors_are_named(capsys, argv, message):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
 
 
 def test_largest_shot_count_is_sampled(capsys):

@@ -14,7 +14,7 @@ from cubesim.cubes import (
 )
 from cubesim.multiport import assemble_multiport, from_coords, sub_basis
 from cubesim.quantum import DensityMatrix, random_density_matrix, random_pure_state
-from cubesim.tensor import HermitianCube, cube_inner, hermitian_complete
+from cubesim.tensor import DEFAULT_TOL, HermitianCube, cube_inner, hermitian_complete
 from oracles import interferometer_cube
 
 SQRT23 = math.sqrt(2.0 / 3.0)
@@ -221,7 +221,7 @@ def test_update_conditioning_on_impossible_outcome():
         luders_update_cube(basis_cube(3, 1), 1, found=False)
 
 
-@pytest.mark.parametrize("gap, raises", [(1e-11, True), (1e-9, False)])
+@pytest.mark.parametrize("gap, raises", [(1e-11, True), (1e-9, False), (DEFAULT_TOL, True)])
 def test_update_guard_boundary(gap, raises):
     p = 1.0 - gap
     rho = DensityMatrix(3, np.diag([p, 1.0 - p, 0.0]).astype(complex))

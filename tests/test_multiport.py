@@ -845,6 +845,24 @@ def test_construction_check_rejects_a_corrupted_phase_table(corruption, reader, 
         BLOCK_READERS[reader](5)
 
 
+def test_construction_check_rejects_a_slice_that_breaks_only_the_row_sums(monkeypatch):
+    # adding eps u to every cell of row r, with Re(x+u) = 0, moves the Gram
+    # by only 2 copies eps^2 |u|^2 but each row sum by N eps u_r
+    n = 6
+    x, copies = _phase_slice(n)
+    realified = np.hstack([x.real.T, x.imag.T])  # Re((x+u)_j) for u = re + i im
+    null = np.linalg.svd(realified)[2][-1]
+    u = null[: len(x)] + 1j * null[len(x) :]
+    shifted = x + 1e-6 * u[:, None] * np.ones(n)
+    target = (n - 2) * (n * np.eye(n) - np.ones((n, n)))
+    gram = np.abs(2 * copies * _matmul(shifted.conj().T, shifted).real - target).max()
+    assert gram <= MATRIX_TOL / 100  # so the Gram half alone would let it through
+    assert np.abs(shifted.sum(axis=1)).max() > 1000 * MATRIX_TOL
+    monkeypatch.setattr("cubesim.multiport._phase_slice", lambda n_paths: (shifted, copies))
+    with pytest.raises(ValueError, match=r"breaks B\+B = G0 or B 1 = 0"):
+        _slice_blocks(n)
+
+
 # --- shape validation --------------------------------------------------------------------------
 
 def test_multiport_shape_validation():

@@ -110,8 +110,9 @@ def test_remove_path_certain_detonation():
         luders_remove_path(DensityMatrix.path_state(2, 1), 1)
 
 
-# the guard sits at the fixed 1 - DEFAULT_TOL on both sides
-@pytest.mark.parametrize("gap, raises", [(1e-11, True), (1e-9, False)])
+# the guard sits at the fixed 1 - DEFAULT_TOL on both sides, and p = 1 -
+# DEFAULT_TOL itself counts as certain detonation
+@pytest.mark.parametrize("gap, raises", [(1e-11, True), (1e-9, False), (DEFAULT_TOL, True)])
 def test_certain_detonation_boundary(gap, raises):
     p = 1.0 - gap
     rho = DensityMatrix(2, np.diag([p, 1.0 - p]).astype(complex))
@@ -243,6 +244,19 @@ def test_support_sensitivity_flagged_near_threshold():
     assert result.support_sensitive
 
 
+def test_port_between_support_tol_and_ten_times_it_joins_the_support():
+    # u2 rotates (1, 1, 0)/sqrt(2) onto no-bomb port probabilities (1 - 5e-9,
+    # 5e-9, 0); port 2 counts at SUPPORT_TOL = 1e-9, and the not-found state
+    # (0, 1, 0) leaves the probe in ports 1 and 2 only, so P_? is 1/2 (a
+    # threshold of 1e-8 would drop port 2 and give about 1/4)
+    angle = math.pi / 4 - math.asin(math.sqrt(5e-9))
+    c, s = math.cos(angle), math.sin(angle)
+    u2 = UnitaryMatrix(3, np.array([[c, s, 0], [-s, c, 0], [0, 0, 1]], dtype=complex))
+    result = quantum_ifm(DensityMatrix.from_state_vector([1, 1, 0]), u2, bomb_path=1)
+    assert result.p_inconclusive == pytest.approx(0.5, abs=1e-12)
+    assert result.support_sensitive
+
+
 def test_support_sensitivity_not_flagged_for_balanced_ports():
     rho = DensityMatrix(2, np.diag([0.5, 0.5]).astype(complex))
     result = quantum_ifm(rho, UnitaryMatrix(2, np.eye(2, dtype=complex)), bomb_path=1)
@@ -253,6 +267,14 @@ def test_rounding_level_dark_ports_are_not_support_sensitive():
     eps = 1e-17  # below the N * eps rounding floor, like a tuned dark port
     rho = DensityMatrix(2, np.diag([1.0 - eps, eps]).astype(complex))
     result = quantum_ifm(rho, UnitaryMatrix(2, np.eye(2, dtype=complex)), bomb_path=2)
+    assert not result.support_sensitive
+
+
+def test_dark_port_exactly_at_the_rounding_floor_is_not_support_sensitive():
+    # only a port probability above N eps is flagged; port 3 holds exactly 3 eps
+    floor = 3 * np.finfo(float).eps
+    rho = DensityMatrix(3, np.diag([0.5, 0.5 - floor, floor]).astype(complex))
+    result = quantum_ifm(rho, UnitaryMatrix(3, np.eye(3, dtype=complex)), bomb_path=1)
     assert not result.support_sensitive
 
 

@@ -357,3 +357,44 @@ def test_path_count_checks_share_one_message(site):
 def test_empty_canonical_map_yields_zero_cube():
     cube = hermitian_complete({}, 3)
     assert np.abs(cube.entries).max() == 0.0
+
+
+# Every shape and size check on an input array, with the message it raises.
+SHAPE_SITES = {
+    "to_coords": (
+        lambda: multiport.to_coords(cubes.basis_cube(4, 1), multiport.sub_basis(3)),
+        "path-count mismatch: cube has 4, basis has 3",
+    ),
+    "from_coords": (
+        lambda: multiport.from_coords(np.zeros(4), multiport.sub_basis(3)),
+        "expected 5 coordinates, got shape (4,)",
+    ),
+    "HermitianCube(non-cube)": (
+        lambda: HermitianCube(3, np.zeros((3, 3, 2))),
+        "expected an N x N x N tensor, got shape (3, 3, 2)",
+    ),
+    "HermitianCube(n_paths)": (
+        lambda: HermitianCube(4, np.zeros((3, 3, 3))),
+        "entries shape (3, 3, 3) does not match n_paths=4",
+    ),
+    "DensityMatrix(non-square)": (
+        lambda: DensityMatrix(2, np.zeros((2, 3))),
+        "density matrix must be a square matrix, got shape (2, 3)",
+    ),
+    "DensityMatrix(n_paths)": (
+        lambda: DensityMatrix(3, np.eye(2) / 2),
+        "entries shape (2, 2) does not match n_paths=3",
+    ),
+    "DensityMatrix.from_state_vector": (
+        lambda: DensityMatrix.from_state_vector([0.0, 0.0, 0.0]),
+        "cannot normalize the zero vector",
+    ),
+}
+
+
+@pytest.mark.parametrize("site", sorted(SHAPE_SITES))
+def test_shape_checks_name_the_bad_input(site):
+    call, message = SHAPE_SITES[site]
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
