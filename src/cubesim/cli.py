@@ -38,6 +38,9 @@ from .results import results_to_csv
 from .tensor import DEFAULT_TOL, cube_inner
 
 _N_RANGE = (2, 32)
+#: The most rows one ``scan`` builds: each row costs about 1 kB of memory
+#: on the way to JSON, so a million rows already take about a gigabyte.
+_SCAN_MAX_ROWS = 10**6
 
 
 def _parse_n_values(text: str) -> list[int]:
@@ -452,6 +455,10 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("ifm --seed does nothing with --format csv, whose row has no clicks")
     if args.command == "ifm" and args.shots is not None and args.seed is None:
         parser.error("ifm --shots does nothing without --seed")
+    if args.command == "scan" and len(args.n) * args.grid > _SCAN_MAX_ROWS:
+        parser.error(
+            f"scan asks for {len(args.n)} x {args.grid} rows, more than {_SCAN_MAX_ROWS}"
+        )
 
     # only ifm, the one subcommand that takes --tol, reads CUBESIM_TOL
     if hasattr(args, "tol") and args.tol is None:

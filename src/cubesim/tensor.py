@@ -24,20 +24,13 @@ import numpy as np
 #: and matrix square roots, so exact equality is never required.
 DEFAULT_TOL = 1e-10
 
-# Slot permutations of an index triple with their signs: the cyclic ones,
-# identity first so completion writes a canonical entry before its copies.
-_TRIPLE_PERMS: tuple[tuple[tuple[int, int, int], int], ...] = (
-    ((0, 1, 2), +1),
-    ((1, 2, 0), +1),
-    ((2, 0, 1), +1),
-    ((1, 0, 2), -1),
-    ((0, 2, 1), -1),
-    ((2, 1, 0), -1),
-)
-
-_CYCLES = tuple(perm for perm, sign in _TRIPLE_PERMS if sign > 0)
+# Slot permutations of an index triple, identity first.  An entry's value
+# sits on the cyclic images of (j, k, l), its conjugate on those of the
+# swapped triple (k, j, l), the odd permutations; completion writes the
+# conjugate last, so a nearly real repeated-index value ends conjugated.
+_CYCLES = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 # Checking the transpositions suffices: even permutations are products of two.
-_TRANSPOSITIONS = tuple(perm for perm, sign in _TRIPLE_PERMS if sign < 0)
+_TRANSPOSITIONS = ((1, 0, 2), (0, 2, 1), (2, 1, 0))
 
 
 def _freeze(obj: object, name: str, arr: np.ndarray) -> None:
@@ -197,11 +190,12 @@ def hermitian_complete(
     """Build a full Hermitian cube from values on canonical index triples.
 
     Keys are 1-based triples (j, k, l) with j <= k <= l; missing triples
-    default to zero.  Even permutations of a triple receive the stated
-    value and odd permutations its conjugate.  A triple with a repeated
-    index is its own odd permutation, so its value must be real (within
-    ``DEFAULT_TOL``) for the completion to be consistent; complex values there
-    raise rather than being silently projected.
+    default to zero.  The stated value goes on the cyclic images of
+    (j, k, l), then its conjugate on those of the swapped triple (k, j, l),
+    the odd permutations.  A triple with a repeated index is its own odd
+    permutation, so its value must be real (within ``DEFAULT_TOL``) for the
+    completion to be consistent; complex values there raise, and a value
+    within the slack ends conjugated because the conjugate is written last.
     """
     entries = np.zeros((n_paths,) * 3, dtype=complex)
     for triple, value in canonical.items():
@@ -216,8 +210,8 @@ def hermitian_complete(
                 f"value at repeated-index triple {triple} must be real, "
                 f"got imaginary part {value.imag:.3e}"
             )
-        base = (j - 1, k - 1, l - 1)
-        for perm, sign in _TRIPLE_PERMS:
-            pos = (base[perm[0]], base[perm[1]], base[perm[2]])
-            entries[pos] = value if sign > 0 else np.conj(value)
+        base, swapped = (j - 1, k - 1, l - 1), (k - 1, j - 1, l - 1)
+        for slots, entry in ((base, value), (swapped, np.conj(value))):
+            for a, b, c in _CYCLES:
+                entries[slots[a], slots[b], slots[c]] = entry
     return HermitianCube(n_paths, entries, is_state=is_state)

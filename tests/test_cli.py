@@ -463,8 +463,25 @@ def test_out_of_memory_is_a_clean_error(capsys, monkeypatch, message, shown):
         raise MemoryError(*message)
 
     monkeypatch.setattr(experiments, "region_scan", exhausted)
-    code, out, err = run_cli(capsys, "scan", "--n", "2", "--grid", "1000000000000")
+    code, out, err = run_cli(capsys, "scan", "--n", "2", "--grid", "101")
     assert (code, out, err) == (1, "", f"error: {shown}\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--n", "2", "--grid", "1000000"], ["--n", "2,3", "--grid", "500000"]],
+    ids=["one-n", "two-n"],
+)
+def test_scan_accepts_exactly_the_row_limit(capsys, monkeypatch, argv):
+    asked = []
+
+    def region_scan(n_list, grid_points):
+        asked.append(len(n_list) * grid_points)
+        return []
+
+    monkeypatch.setattr(experiments, "region_scan", region_scan)
+    code, _, err = run_cli(capsys, "scan", *argv)
+    assert (code, err, asked) == (0, "", [10**6])
 
 
 # --- reproduce -------------------------------------------------------------------
@@ -699,6 +716,10 @@ def test_invalid_env_tolerance_value(capsys, monkeypatch):
         # the CSV row has no clicks, and only --seed draws them
         (None, ["ifm", "--model", "cube", "--n", "3", "--seed", "7", "--format", "csv"]),
         (None, ["ifm", "--model", "cube", "--n", "3", "--shots", "100"]),
+        # more scan rows than _SCAN_MAX_ROWS, including grids numpy cannot index
+        (None, ["scan", "--n", "2", "--grid", str(2**63 - 1)]),
+        (None, ["scan", "--n", "2", "--grid", str(2**63)]),
+        (None, ["scan", "--n", "2,3", "--grid", "500001"]),
     ],
 )
 def test_usage_errors_exit_2(capsys, monkeypatch, env_tol, argv):

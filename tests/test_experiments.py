@@ -379,8 +379,10 @@ def test_sorkin_rejects_two_path_coherence():
 def test_large_cube_run_stays_small_in_memory():
     # the pipeline works on A and the phase slice x, never on the d x d
     # matrix (14.8 MB at N = 32, d = 962), on dense N^3 cubes or on one
-    # stacked R x N complex block B (32 MB at N = 128, R = 127 * 126)
-    for n, limit in [(32, 962**2 * 16), (128, 127 * 126 * 128 * 16)]:
+    # stacked R x N complex block B (32 MB at N = 128, R = 127 * 126; 265 MB
+    # at N = 256)
+    stacked_b = [(n, (n - 1) * (n - 2) * n * 16) for n in (128, 256)]
+    for n, limit in [(32, 962**2 * 16), *stacked_b]:
         tracemalloc.start()
         try:
             result = run_cube_ifm(n)

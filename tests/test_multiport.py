@@ -668,8 +668,9 @@ def test_block_report_matches_dense_oracle(n):
 
 def test_verify_holds_no_dense_matrix():
     # half of one d x d complex matrix at N = 32 (d = 962), and one stacked
-    # R x N complex block B at N = 128 (R = 127 * 126)
-    for n, limit in [(32, 962**2 * 16 / 2), (128, 127 * 126 * 128 * 16)]:
+    # R x N complex block B at N = 128 and 256 (R = (N - 1)(N - 2))
+    stacked_b = [(n, (n - 1) * (n - 2) * n * 16) for n in (128, 256)]
+    for n, limit in [(32, 962**2 * 16 / 2), *stacked_b]:
         tracemalloc.start()
         try:
             verify_multiport(n)

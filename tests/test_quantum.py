@@ -18,6 +18,7 @@ from cubesim.quantum import (
     random_unitary,
     support_projector,
 )
+from cubesim.cubes import luders_update_cube, quantum_to_cube
 from cubesim.experiments import fourier_preset
 from cubesim.tensor import DEFAULT_TOL
 
@@ -126,6 +127,30 @@ def test_certain_detonation_boundary(gap, raises):
                 call()
         else:
             assert call() == p
+
+
+# strict, so the change that fixes this band must flip these cases
+_NEAR_CERTAIN_BAND = (
+    "luders_remove_path, quantum_ifm and luders_update_cube raise a trace or "
+    "diagonal-sum error for bomb-path populations between about 1 - 1e-6 and "
+    "1 - 1e-10, although only p >= 1 - 1e-10 is refused: dividing by 1 - p "
+    "scales rho's rounding-level trace drift by 1/(1 - p)"
+)
+
+
+@pytest.mark.xfail(strict=True, raises=ValueError, reason=_NEAR_CERTAIN_BAND)
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda rho: luders_remove_path(rho, 1),
+        lambda rho: quantum_ifm(rho, fourier_unitary(3), 1),
+        lambda rho: luders_update_cube(quantum_to_cube(rho), 1, found=False),
+    ],
+    ids=["luders_remove_path", "quantum_ifm", "luders_update_cube"],
+)
+def test_bomb_path_population_just_below_certain_detonation(call):
+    theta = math.asin(math.sqrt(1e-7))
+    call(DensityMatrix.from_state_vector([math.cos(theta), math.sin(theta), 0.0]))
 
 
 def test_remove_path_zeroes_row_and_column(rng):

@@ -110,6 +110,22 @@ def test_complete_matches_permutation_oracle(rng):
     np.testing.assert_allclose(cube.entries, oracle_complete(canonical, 4), atol=0)
 
 
+def test_complete_writes_the_conjugate_last():
+    # a repeated-index triple is its own odd permutation, so the write that
+    # comes last decides its bits: the conjugate, signed zero included
+    canonical = {(1, 1, 2): 0.5 + 5e-11j, (1, 2, 3): 0.1 + 0.2j, (3, 3, 3): 0.25}
+    expected = np.zeros((3, 3, 3), dtype=complex)
+    for cell in [(0, 0, 1), (0, 1, 0), (1, 0, 0)]:
+        expected[cell] = complex(0.5, -5e-11)
+    for cell in [(0, 1, 2), (1, 2, 0), (2, 0, 1)]:
+        expected[cell] = complex(0.1, 0.2)
+    for cell in [(1, 0, 2), (0, 2, 1), (2, 1, 0)]:
+        expected[cell] = complex(0.1, -0.2)
+    expected[2, 2, 2] = complex(0.25, -0.0)
+    entries = hermitian_complete(canonical, 3).entries
+    assert entries.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+
+
 def test_complete_rejects_complex_diagonal():
     with pytest.raises(ValueError, match="real"):
         hermitian_complete({(1, 1, 1): 1.0 + 1e-3j}, 3)
